@@ -81,9 +81,13 @@ pub const SPEC_ONLY_TAGS: &[&str] = &[
     // `writeback_row`: one C row of `nvecs` vectors, exercised through
     // every enclosing kernel's `c` operand.
     "SHALOM-K-WB",
-    // `family_gemm_nn`: the runtime-dispatched x86 driver; its packed
-    // panel and staging area are caller-managed scratch.
+    // `family_gemm`: the runtime-dispatched x86 driver; its packed
+    // panel and staging areas are caller-managed scratch.
     "SHALOM-K-FAMILY",
+    // Its transposed-operand packers (§4.3): the Aᵀ block staging and
+    // the transposed B panel, reached only through the driver.
+    "SHALOM-K-FAMILY-AT",
+    "SHALOM-K-FAMILY-BT",
 ];
 
 // Every footprint function below is a thin wrapper over the shared

@@ -8,8 +8,6 @@
 //! operands and the streaming C traffic, then round to kernel-friendly
 //! multiples.
 
-use shalom_kernels::MR;
-
 /// FNV-1a offset basis (64-bit).
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime (64-bit).
@@ -170,15 +168,15 @@ pub struct BlockSizes {
 }
 
 impl BlockSizes {
-    /// Derives `(nc, mc, kc)` for elements of `elem_bytes` and register
-    /// tile `nr`, targeting half of each cache level.
-    pub fn derive(cache: &CacheParams, elem_bytes: usize, nr: usize) -> Self {
+    /// Derives `(nc, mc, kc)` for elements of `elem_bytes` and an
+    /// `mr x nr` register tile, targeting half of each cache level.
+    pub fn derive(cache: &CacheParams, elem_bytes: usize, mr: usize, nr: usize) -> Self {
         // kc: the kc x nr packed panel occupies <= L1/2.
         let kc_raw = cache.l1 / (2 * nr * elem_bytes);
         let kc = kc_raw.clamp(32, 512) & !3; // multiple of 4 covers both lane counts
                                              // mc: the mc x kc A block occupies <= L2/2; round down to mr.
         let mc_raw = cache.l2 / (2 * kc * elem_bytes);
-        let mc = ((mc_raw / MR) * MR).clamp(MR, 8192);
+        let mc = ((mc_raw / mr) * mr).clamp(mr, 8192);
         // nc: the kc x nc B region occupies <= LLC/2; round down to nr.
         let nc_raw = cache.llc() / (2 * kc * elem_bytes);
         let nc = ((nc_raw / nr) * nr).clamp(nr, 65536);
@@ -189,6 +187,7 @@ impl BlockSizes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shalom_kernels::MR;
 
     #[test]
     fn parse_sysfs_sizes() {
@@ -261,7 +260,7 @@ mod tests {
             l2: 2 * 1024 * 1024,
             l3: 0,
         };
-        let b = BlockSizes::derive(&cache, 4, 12);
+        let b = BlockSizes::derive(&cache, 4, MR, 12);
         // kc*nr*4 <= 16K
         assert!(b.kc * 12 * 4 <= cache.l1 / 2 + 12 * 4 * 4);
         assert_eq!(b.kc % 4, 0);
@@ -278,7 +277,7 @@ mod tests {
             l2: 512 * 1024,
             l3: 64 * 1024 * 1024,
         };
-        let b = BlockSizes::derive(&cache, 8, 6);
+        let b = BlockSizes::derive(&cache, 8, MR, 6);
         assert!(b.kc >= 32);
         assert!(b.mc >= MR);
         assert!(b.nc >= 6);
@@ -288,8 +287,25 @@ mod tests {
             l2: 256 * 1024,
             l3: 32 * 1024 * 1024,
         };
-        let b2 = BlockSizes::derive(&tx2, 8, 6);
+        let b2 = BlockSizes::derive(&tx2, 8, MR, 6);
         assert!(b.kc >= b2.kc);
+    }
+
+    #[test]
+    fn mc_rounds_to_the_given_tile_rows() {
+        // An AVX-512 f32 tile (15 x 16) on a 1.33 MiB L2: mc is a whole
+        // number of 15-row tiles, not of the 128-bit MR.
+        let cache = CacheParams {
+            l1: 32 * 1024,
+            l2: 1_390_592,
+            l3: 0,
+        };
+        for (mr, nr) in [(15, 16), (9, 16), (7, 8), (4, 8), (MR, 12)] {
+            let b = BlockSizes::derive(&cache, 4, mr, nr);
+            assert_eq!(b.mc % mr, 0, "mr {mr}: mc {}", b.mc);
+            assert!(b.mc >= mr);
+        }
+        assert_eq!(BlockSizes::derive(&cache, 4, 15, 16).mc, 675);
     }
 
     #[test]
@@ -299,7 +315,7 @@ mod tests {
             l2: 2048,
             l3: 0,
         };
-        let b = BlockSizes::derive(&cache, 8, 12);
+        let b = BlockSizes::derive(&cache, 8, MR, 12);
         assert!(b.kc >= 32); // clamped floor
         assert!(b.mc >= MR);
         assert!(b.nc >= 12);

@@ -1,7 +1,12 @@
 //! The serial GEMM driver — paper Algorithm 1 with the exchanged loop
 //! order (`jj -> ii -> kk`, §3.3) and the §4 packing decisions.
 //!
-//! One function per B-handling mode:
+//! [`gemm_serial`] first asks the plan for the call's effective ISA: a
+//! wide level hands the whole call, in any op mode, to the registered
+//! kernel family's driver (`shalom_kernels::family::family_gemm`, which
+//! applies the same §4.3 "NT packs B, TN packs A" rule with its own
+//! packers). Everything else runs the 128-bit driver below, one function
+//! per B-handling mode:
 //!
 //! * [`gemm_serial`] dispatches on `(op_a, op_b)`. A transposed A (TN/TT)
 //!   is transpose-packed per `(ii, kk)` block into the workspace — after
@@ -26,15 +31,13 @@
 
 use crate::config::{classify, EdgeSchedule, GemmConfig, PackingPolicy, ShapeClass};
 use shalom_kernels::edge::{edge_kernel_batched, edge_kernel_pipelined};
-use shalom_kernels::family::{family_for, family_gemm_nn, family_workspace};
+use shalom_kernels::family::{family_for, family_gemm, family_workspace, FamilyPhase};
 use shalom_kernels::main_kernel::{
     main_kernel, main_kernel_fused_pack, main_kernel_streamed, PackAhead, StreamCopy,
 };
 use shalom_kernels::nt_pack::nt_pack_panel;
 use shalom_kernels::pack::{pack_copy, pack_transpose};
-#[cfg(feature = "telemetry")]
-use shalom_kernels::FamilyElem;
-use shalom_kernels::{Vector, MR, NR_VECS};
+use shalom_kernels::{FamilyElem, Vector, MR, NR_VECS};
 use shalom_matrix::{Op, Scalar};
 
 /// Calls between decay-policy evaluations on a [`Workspace`].
@@ -322,14 +325,16 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
     };
 
     // Wide-family route: the plan's effective ISA (a pure function of
-    // config, ops and shape — the same one that keyed the plan) says this
-    // call dispatches to a runtime-registered 256/512-bit kernel family
-    // instead of the 128-bit substrate below. The registry only hands out
-    // families whose CPU probe passed on this host.
-    if plan.isa.is_wide() && op_a == Op::NoTrans && op_b == Op::NoTrans {
+    // config and shape — the same one that keyed the plan) says this call
+    // dispatches to a runtime-registered 256/512-bit kernel family instead
+    // of the 128-bit substrate below, in any op mode. The registry only
+    // hands out families whose CPU probe passed on this host.
+    if plan.isa.is_wide() {
         if let Some(fam) = family_for(plan.isa) {
+            let ks = <V::Elem as FamilyElem>::kernels(fam);
             let kc_eff = plan.bs.kc.min(k);
-            let (bc_elems, at_elems) = family_workspace::<V::Elem>(fam, kc_eff);
+            let mc_eff = plan.bs.mc.min(m.div_ceil(ks.mr) * ks.mr);
+            let (bc_elems, at_elems) = family_workspace::<V::Elem>(fam, op_a, kc_eff, mc_eff);
             let (bc_ptr, at_ptr) = ws.ensure::<V::Elem>(bc_elems, at_elems);
             #[cfg(feature = "telemetry")]
             let tel_start = if tel_on {
@@ -337,16 +342,35 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
             } else {
                 0
             };
-            // SAFETY: SHALOM-D-DRIVER — a/b/c cover m x k, k x n, m x n at
-            // their strides per this function's contract; bc/at were sized
-            // by `family_workspace` for (fam, kc_eff); m, n, k >= 1 after
-            // the early-outs above and kc_eff >= 1 (decode clamps kc).
-            family_gemm_nn::<V::Elem>(
-                fam, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, kc_eff, bc_ptr, at_ptr,
+            // SAFETY: SHALOM-D-DRIVER — a/b/c cover the stored operands
+            // and m x n at their strides per this function's contract;
+            // bc/at were sized by `family_workspace` for (fam, op_a,
+            // kc_eff, mc_eff); m, n, k >= 1 after the early-outs above and
+            // kc_eff, mc_eff >= 1 (decode clamps both).
+            family_gemm::<V::Elem>(
+                fam,
+                op_a,
+                op_b,
+                plan.b_plan == BPlan::Direct,
+                m,
+                n,
+                k,
+                alpha,
+                a,
+                lda,
+                b,
+                ldb,
+                beta,
+                c,
+                ldc,
+                kc_eff,
+                mc_eff,
+                bc_ptr,
+                at_ptr,
+                &family_span,
             );
             #[cfg(feature = "telemetry")]
             if tel_start != 0 {
-                let ks = <V::Elem as FamilyElem>::kernels(fam);
                 crate::telemetry::serial_capture_end(
                     tel_start,
                     cfg,
@@ -495,6 +519,27 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
     }
     #[cfg(feature = "trace")]
     crate::trace::span_end_src(serial_tok, crate::trace::src_code(plan.source));
+}
+
+/// The wide route's span hook: times and traces the family driver's
+/// phases exactly as the 128-bit driver does its own — packs through
+/// `pack_timed!`, block sweeps as `Compute` spans.
+fn family_span(phase: FamilyPhase, body: &mut dyn FnMut()) {
+    match phase {
+        FamilyPhase::PackA => pack_timed!(PackA, body()),
+        FamilyPhase::PackB => pack_timed!(PackB, body()),
+        #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
+        FamilyPhase::Compute { m, n, k } => {
+            #[cfg(feature = "trace")]
+            let tok = crate::trace::span_start(
+                crate::trace::Phase::Compute,
+                crate::trace::shape_key(m, n, k),
+            );
+            body();
+            #[cfg(feature = "trace")]
+            crate::trace::span_end(tok);
+        }
+    }
 }
 
 /// `C = beta * C` over an `m x n` block.

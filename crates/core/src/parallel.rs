@@ -192,8 +192,7 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
     // silently drop to the 128-bit route, or threaded results would stop
     // being bitwise equal to serial ones.
     let mut cfg_copy = *cfg;
-    cfg_copy.isa =
-        crate::config::IsaPolicy::Force(crate::plan::effective_isa::<V>(cfg, op_a, op_b, m, n));
+    cfg_copy.isa = crate::config::IsaPolicy::Force(crate::plan::effective_isa::<V>(cfg, m, n));
     let tile = move |ri: usize, rl: usize, ci: usize, cl: usize, ws: &mut Workspace| {
         // Rebind the wrapper structs whole: disjoint closure capture
         // would otherwise capture the raw-pointer *fields*, which are

@@ -32,10 +32,11 @@
 
 use crate::api::GemmElem;
 use crate::cache::BlockSizes;
-use crate::config::{classify, EdgeSchedule, GemmConfig, ShapeClass};
+use crate::config::{classify, EdgeSchedule, GemmConfig, PackingPolicy, ShapeClass};
 use crate::driver::{resolve_nn_plan, resolve_nt_plan, BPlan};
 use crate::parallel::partition_threads;
 use crate::sync::{AtomicBool, Ordering};
+use shalom_kernels::family::family_workspace;
 use shalom_kernels::{family_for, FamilyElem, Vector, MR, NR_VECS};
 use shalom_matrix::Op;
 use shalom_plans::{profile, CacheStats, PlanCache, PlanKey, ProfileError, ResolvedPlan, Source};
@@ -191,38 +192,42 @@ fn decode_edge(code: u8) -> EdgeSchedule {
 }
 
 /// The ISA level this call actually dispatches to — a pure function of
-/// the configuration, ops and shape, computed identically wherever a
-/// plan is keyed, resolved, or decoded:
+/// the configuration and shape, computed identically wherever a plan is
+/// keyed, resolved, or decoded:
 ///
 /// * the requested level must be wide and its kernel family registered
 ///   (the runtime probe passed on this host);
-/// * the wide families implement the NN mode — T modes stay on the
-///   128-bit substrate's transpose-packing driver;
+/// * every op mode qualifies: the family driver transpose-packs a
+///   transposed operand (§4.3) and then runs the NN micro-kernel;
 /// * under [`IsaPolicy::Auto`], the problem must fill at least one full
 ///   register tile of the family's element type (smaller shapes are the
-///   128-bit edge machinery's home turf). A `Force`d executable level
-///   skips this size gate: the family driver stages sub-tile edges
-///   itself, and the parallel path relies on forcing to give every
-///   worker's sub-block the exact route the whole problem resolved to —
-///   that is what keeps threaded results bitwise equal to serial ones.
+///   128-bit edge machinery's home turf), and the config's knobs must be
+///   ones the family driver implements: its B handling is a sequential
+///   pack per panel, or B read in place under [`PackingPolicy::Never`].
+///   [`PackingPolicy::AlwaysFused`] and [`EdgeSchedule::Batched`] ask for
+///   the §4 fused packing and §5.4 batched edge kernels only the 128-bit
+///   driver implements, so they get that driver rather than a family
+///   that would ignore them. A `Force`d executable level skips both
+///   gates: the family driver stages sub-tile edges itself, and the
+///   parallel path relies on forcing to give every worker's sub-block
+///   the exact route the whole problem resolved to — that is what keeps
+///   threaded results bitwise equal to serial ones.
 ///
 /// Everything else resolves to the compile-time base, so the key an
 /// AVX-512 host computes for a sub-tile problem equals the key a NEON
 /// host computes — and a wide host's big-shape keys can never collide
 /// with either.
-pub(crate) fn effective_isa<V: Vector>(
-    cfg: &GemmConfig,
-    op_a: Op,
-    op_b: Op,
-    m: usize,
-    n: usize,
-) -> Isa {
+///
+/// [`IsaPolicy::Auto`]: crate::config::IsaPolicy::Auto
+pub(crate) fn effective_isa<V: Vector>(cfg: &GemmConfig, m: usize, n: usize) -> Isa {
     let req = cfg.requested_isa();
-    if req.is_wide() && op_a == Op::NoTrans && op_b == Op::NoTrans {
+    if req.is_wide() {
         if let Some(fam) = family_for(req) {
             let ks = <V::Elem as FamilyElem>::kernels(fam);
             let forced = matches!(cfg.isa, crate::config::IsaPolicy::Force(_));
-            if forced || (m >= ks.mr && n >= ks.nr) {
+            let honoured =
+                cfg.packing != PackingPolicy::AlwaysFused && cfg.edge == EdgeSchedule::Pipelined;
+            if forced || (honoured && m >= ks.mr && n >= ks.nr) {
                 return req;
             }
         }
@@ -260,7 +265,7 @@ fn key_for<V: Vector>(
 ) -> PlanKey {
     PlanKey {
         elem_bits: (core::mem::size_of::<V::Elem>() * 8) as u8,
-        isa: effective_isa::<V>(cfg, op_a, op_b, m, n).code(),
+        isa: effective_isa::<V>(cfg, m, n).code(),
         op_a: op_byte(op_a),
         op_b: op_byte(op_b),
         m: m as u64,
@@ -285,26 +290,34 @@ fn compute_resolved<V: Vector>(
     let elem_bytes = core::mem::size_of::<V::Elem>();
     // Wide-family route (serial only: the parallel parent key carries the
     // §6 grid, and each worker re-resolves its own sub-block serially).
-    // The family packs B per panel, so the encoded B plan is Sequential;
-    // blocking derives from the family's register tile, and the workspace
-    // is one packed panel plus the edge staging tiles.
-    let isa = effective_isa::<V>(cfg, op_a, op_b, m, n);
+    // The family packs B per panel, so the encoded B plan is Sequential —
+    // or Direct when `Never` asks for an untransposed B in place. Blocking
+    // derives from the family's register tile, `mc` in whole `mr`-row
+    // tiles so that only a problem's last row block can end in a padded
+    // edge tile; the workspace is `family_workspace` for this call.
+    let isa = effective_isa::<V>(cfg, m, n);
     if threads == 1 && isa.is_wide() {
         if let Some(fam) = family_for(isa) {
             let ks = <V::Elem as FamilyElem>::kernels(fam);
-            let bs = BlockSizes::derive(&cfg.cache, elem_bytes, ks.nr);
+            let bs = BlockSizes::derive(&cfg.cache, elem_bytes, ks.mr, ks.nr);
             let kc_eff = bs.kc.min(k.max(1));
+            let mc_eff = bs.mc.min(m.max(1).div_ceil(ks.mr) * ks.mr);
+            let (bc_elems, at_elems) = family_workspace::<V::Elem>(fam, op_a, kc_eff, mc_eff);
+            let b_plan = if cfg.packing == PackingPolicy::Never && op_b == Op::NoTrans {
+                BPlan::Direct
+            } else {
+                BPlan::Sequential
+            };
             return ResolvedPlan {
                 class: class_code(classify(m, n, k, elem_bytes, &cfg.cache)),
-                b_plan: bplan_code(BPlan::Sequential),
+                b_plan: bplan_code(b_plan),
                 edge: edge_code(cfg.edge),
                 kc: bs.kc as u32,
                 mc: bs.mc as u32,
                 nc: bs.nc as u32,
                 tm: 1,
                 tn: 1,
-                workspace_bytes: ((kc_eff * ks.nr + ks.mr * kc_eff + ks.mr * ks.nr) * elem_bytes)
-                    as u64,
+                workspace_bytes: ((bc_elems + at_elems) * elem_bytes) as u64,
             };
         }
     }
@@ -313,7 +326,7 @@ fn compute_resolved<V: Vector>(
         Op::NoTrans => resolve_nn_plan(cfg, m, n, k, elem_bytes),
         Op::Trans => resolve_nt_plan(cfg),
     };
-    let bs = BlockSizes::derive(&cfg.cache, elem_bytes, nr);
+    let bs = BlockSizes::derive(&cfg.cache, elem_bytes, MR, nr);
     let (tm, tn) = if threads > 1 {
         partition_threads(threads, m, n)
     } else {
@@ -446,7 +459,7 @@ pub(crate) fn serial_plan<V: Vector>(
     k: usize,
 ) -> SerialPlan {
     let (plan, source) = lookup::<V>(cfg, op_a, op_b, m, n, k, 1);
-    decode(&plan, source, effective_isa::<V>(cfg, op_a, op_b, m, n))
+    decode(&plan, source, effective_isa::<V>(cfg, m, n))
 }
 
 /// The parallel parent's §6 thread grid for the full problem, cached
@@ -627,42 +640,51 @@ mod tests {
             let sp = decode(&rp, PlanSource::Computed, caps::base_isa());
             assert_eq!(sp.b_plan, resolve_nn_plan(&c, m, n, k, 8));
             assert_eq!(sp.edge, c.edge);
-            assert_eq!(sp.bs, BlockSizes::derive(&c.cache, 8, 6));
+            assert_eq!(sp.bs, BlockSizes::derive(&c.cache, 8, MR, 6));
         }
     }
 
     #[test]
     fn effective_isa_is_shape_and_op_gated() {
         let auto = cfg();
-        // T modes never go wide: the families implement the NN driver.
-        assert!(!effective_isa::<F32x4>(&auto, Op::Trans, Op::NoTrans, 640, 640).is_wide());
-        assert!(!effective_isa::<F32x4>(&auto, Op::NoTrans, Op::Trans, 640, 640).is_wide());
         // Sub-tile shapes stay on the 128-bit edge machinery.
-        assert!(!effective_isa::<F32x4>(&auto, Op::NoTrans, Op::NoTrans, 1, 1).is_wide());
+        assert!(!effective_isa::<F32x4>(&auto, 1, 1).is_wide());
         // Forcing the base pins the base no matter the shape.
         assert_eq!(
-            effective_isa::<F32x4>(&cfg_base(), Op::NoTrans, Op::NoTrans, 640, 640),
+            effective_isa::<F32x4>(&cfg_base(), 640, 640),
             caps::base_isa()
         );
         if let Some(fam) = shalom_kernels::selected_wide_family() {
             // At exactly one full tile the wide family takes over, per
-            // element type's own tile.
-            assert_eq!(
-                effective_isa::<F32x4>(&auto, Op::NoTrans, Op::NoTrans, fam.k_f32.mr, fam.k_f32.nr),
-                fam.isa
-            );
-            assert_eq!(
-                effective_isa::<F64x2>(&auto, Op::NoTrans, Op::NoTrans, fam.k_f64.mr, fam.k_f64.nr),
-                fam.isa
-            );
-            assert!(!effective_isa::<F32x4>(
-                &auto,
-                Op::NoTrans,
-                Op::NoTrans,
-                fam.k_f32.mr - 1,
-                fam.k_f32.nr
-            )
-            .is_wide());
+            // element type's own tile — in every op mode, since the family
+            // driver packs the transposed operand (§4.3). The gate takes
+            // no ops: NT/TN/TT key, resolve and run like NN.
+            for (mr, nr, wide) in [
+                (
+                    fam.k_f32.mr,
+                    fam.k_f32.nr,
+                    effective_isa::<F32x4> as fn(&GemmConfig, usize, usize) -> Isa,
+                ),
+                (fam.k_f64.mr, fam.k_f64.nr, effective_isa::<F64x2>),
+            ] {
+                assert_eq!(wide(&auto, mr, nr), fam.isa);
+                assert_eq!(wide(&auto, 4096, 8192), fam.isa);
+                assert!(!wide(&auto, mr - 1, nr).is_wide());
+                assert!(!wide(&auto, mr, nr - 1).is_wide());
+            }
+            for (op_a, op_b) in [
+                (Op::NoTrans, Op::Trans),
+                (Op::Trans, Op::NoTrans),
+                (Op::Trans, Op::Trans),
+            ] {
+                let (mr, nr) = (fam.k_f32.mr, fam.k_f32.nr);
+                let key = |m, n| key_for::<F32x4>(&auto, op_a, op_b, m, n, 64, 1).isa;
+                assert_eq!(key(mr, nr), fam.isa.code());
+                assert_eq!(key(mr - 1, nr), caps::base_isa().code());
+                assert_eq!(key(mr, nr - 1), caps::base_isa().code());
+                let sp = serial_plan::<F32x4>(&auto, op_a, op_b, 32, 4096, 256);
+                assert_eq!(sp.isa, fam.isa);
+            }
             // Forcing an executable wide level skips the size gate: the
             // family stages sub-tile edges itself, and the parallel path
             // pins workers this way to keep threaded results bitwise
@@ -671,10 +693,83 @@ mod tests {
                 isa: crate::config::IsaPolicy::Force(fam.isa),
                 ..cfg()
             };
-            assert_eq!(
-                effective_isa::<F32x4>(&forced, Op::NoTrans, Op::NoTrans, 1, 1),
-                fam.isa
-            );
+            assert_eq!(effective_isa::<F32x4>(&forced, 1, 1), fam.isa);
+        }
+    }
+
+    #[test]
+    fn every_knob_value_runs_on_a_route_that_honours_it() {
+        use crate::config::PackingPolicy;
+        const OPS: [(Op, Op); 4] = [
+            (Op::NoTrans, Op::NoTrans),
+            (Op::NoTrans, Op::Trans),
+            (Op::Trans, Op::NoTrans),
+            (Op::Trans, Op::Trans),
+        ];
+        let with = |packing, edge| GemmConfig {
+            packing,
+            edge,
+            ..cfg()
+        };
+        // The §4 fused packing and the §5.4 batched edge schedule exist
+        // only in the 128-bit driver: under `Auto` they resolve to it, in
+        // every op mode and at any shape, and its plan carries them.
+        for c in [
+            with(PackingPolicy::AlwaysFused, EdgeSchedule::Pipelined),
+            with(PackingPolicy::Auto, EdgeSchedule::Batched),
+            with(PackingPolicy::Never, EdgeSchedule::Batched),
+        ] {
+            for (op_a, op_b) in OPS {
+                let sp = serial_plan::<F32x4>(&c, op_a, op_b, 640, 640, 64);
+                assert_eq!(sp.isa, caps::base_isa(), "{c:?}");
+                assert_eq!(sp.edge, c.edge);
+                let want = match op_b {
+                    Op::NoTrans => resolve_nn_plan(&c, 640, 640, 64, 4),
+                    Op::Trans => resolve_nt_plan(&c),
+                };
+                assert_eq!(sp.b_plan, want);
+                assert_eq!(effective_isa::<F64x2>(&c, 640, 640), caps::base_isa());
+            }
+        }
+        // The family implements the rest: sequential B packing per panel
+        // (`Auto`, `AlwaysSequential`) and B read in place (`Never`, which
+        // for a transposed B means the sequential transpose-pack, as on
+        // the 128-bit driver).
+        let Some(fam) = shalom_kernels::selected_wide_family() else {
+            return;
+        };
+        for packing in [
+            PackingPolicy::Auto,
+            PackingPolicy::AlwaysSequential,
+            PackingPolicy::Never,
+        ] {
+            let c = with(packing, EdgeSchedule::Pipelined);
+            for (op_a, op_b) in OPS {
+                let sp = serial_plan::<F32x4>(&c, op_a, op_b, 640, 640, 64);
+                assert_eq!(sp.isa, fam.isa, "{packing:?}");
+                let want = if packing == PackingPolicy::Never && op_b == Op::NoTrans {
+                    BPlan::Direct
+                } else {
+                    BPlan::Sequential
+                };
+                assert_eq!(sp.b_plan, want, "{packing:?} {op_a:?}{op_b:?}");
+            }
+        }
+        // Each knob value keys its own plan.
+        let keys: Vec<_> = [
+            with(PackingPolicy::Auto, EdgeSchedule::Pipelined),
+            with(PackingPolicy::AlwaysSequential, EdgeSchedule::Pipelined),
+            with(PackingPolicy::Never, EdgeSchedule::Pipelined),
+            with(PackingPolicy::AlwaysFused, EdgeSchedule::Pipelined),
+            with(PackingPolicy::Auto, EdgeSchedule::Batched),
+        ]
+        .iter()
+        .map(|c| key_for::<F32x4>(c, Op::NoTrans, Op::Trans, 640, 640, 64, 1))
+        .collect();
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a, b);
+            }
         }
     }
 
@@ -697,7 +792,7 @@ mod tests {
             // blocking derived from the family's register tile.
             assert_eq!(rp.b_plan, bplan_code(BPlan::Sequential));
             assert_eq!((rp.tm, rp.tn), (1, 1));
-            let bs = BlockSizes::derive(&auto.cache, 4, fam.k_f32.nr);
+            let bs = BlockSizes::derive(&auto.cache, 4, fam.k_f32.mr, fam.k_f32.nr);
             assert_eq!(
                 (rp.kc as usize, rp.mc as usize, rp.nc as usize),
                 (bs.kc, bs.mc, bs.nc)
@@ -710,6 +805,42 @@ mod tests {
                 rp_base.b_plan,
                 bplan_code(resolve_nn_plan(&based, 64, 64, 64, 4))
             );
+        }
+    }
+
+    #[test]
+    fn wide_mc_is_whole_family_tiles() {
+        // The wide route's row block is a whole number of the family's
+        // own register tiles (not the 128-bit MR), so only a problem's
+        // last row block can end in a padded edge tile.
+        let Some(fam) = shalom_kernels::selected_wide_family() else {
+            return;
+        };
+        for l2 in [256 * 1024, 1024 * 1024, 1_390_592, 2 * 1024 * 1024] {
+            let c = GemmConfig {
+                cache: crate::cache::CacheParams {
+                    l1: 32 * 1024,
+                    l2,
+                    l3: 0,
+                },
+                ..GemmConfig::with_threads(1)
+            };
+            for op_a in [Op::NoTrans, Op::Trans] {
+                let rp = compute_resolved::<F32x4>(&c, op_a, Op::NoTrans, 4096, 64, 256, 1);
+                assert_eq!(
+                    rp.mc as usize % fam.k_f32.mr,
+                    0,
+                    "f32 mc {} at L2 {l2}",
+                    rp.mc
+                );
+                let rp = compute_resolved::<F64x2>(&c, op_a, Op::NoTrans, 4096, 64, 256, 1);
+                assert_eq!(
+                    rp.mc as usize % fam.k_f64.mr,
+                    0,
+                    "f64 mc {} at L2 {l2}",
+                    rp.mc
+                );
+            }
         }
     }
 

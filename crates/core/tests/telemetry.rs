@@ -9,7 +9,10 @@
 
 use proptest::prelude::*;
 use shalom_core::telemetry::{self, DecisionRecord, PathTag, PlanTag, ShapeClassTag};
-use shalom_core::{gemm_batch, gemm_with, BatchItem, CacheParams, GemmConfig, Op, PackingPolicy};
+use shalom_core::{
+    base_isa, gemm_batch, gemm_with, BatchItem, CacheParams, GemmConfig, IsaPolicy, Op,
+    PackingPolicy,
+};
 use shalom_matrix::Matrix;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -32,6 +35,16 @@ fn fixed_config() -> GemmConfig {
         },
         threads: 1,
         ..GemmConfig::default()
+    }
+}
+
+/// [`fixed_config`] pinned to the 128-bit driver: the tests that pin a §4
+/// packing decision describe that driver's plans, which a host with a
+/// wide kernel family would otherwise route around.
+fn base_config() -> GemmConfig {
+    GemmConfig {
+        isa: IsaPolicy::Force(base_isa()),
+        ..fixed_config()
     }
 }
 
@@ -77,7 +90,7 @@ fn sole_record(recs: &[DecisionRecord], m: usize, n: usize, k: usize) -> Decisio
 fn nn_no_pack_path() {
     let _g = state_lock();
     // 64x64x64 f32: size(B) = 16 KiB <= L1 -> read B in place (§4.1).
-    let recs = trace_gemm(&fixed_config(), Op::NoTrans, Op::NoTrans, 64, 64, 64);
+    let recs = trace_gemm(&base_config(), Op::NoTrans, Op::NoTrans, 64, 64, 64);
     let r = sole_record(&recs, 64, 64, 64);
     assert_eq!(r.plan, PlanTag::NoPack);
     assert_eq!(r.class, ShapeClassTag::Small);
@@ -91,7 +104,7 @@ fn nn_no_pack_path() {
 fn nn_fused_path() {
     let _g = state_lock();
     // 200x200x200: size(B) = 160 KiB > L1, shape small -> fused t=0 pack.
-    let recs = trace_gemm(&fixed_config(), Op::NoTrans, Op::NoTrans, 200, 200, 200);
+    let recs = trace_gemm(&base_config(), Op::NoTrans, Op::NoTrans, 200, 200, 200);
     let r = sole_record(&recs, 200, 200, 200);
     assert_eq!(r.plan, PlanTag::FusedPack);
     assert_eq!(r.class, ShapeClassTag::Small);
@@ -103,7 +116,7 @@ fn nn_lookahead_path() {
     let _g = state_lock();
     // 64x2048x64: B too big for L1 and N/M = 32 >= 8 with N >= 1024 ->
     // irregular -> fused pack with t=1 lookahead (§4.2).
-    let recs = trace_gemm(&fixed_config(), Op::NoTrans, Op::NoTrans, 64, 2048, 64);
+    let recs = trace_gemm(&base_config(), Op::NoTrans, Op::NoTrans, 64, 2048, 64);
     let r = sole_record(&recs, 64, 2048, 64);
     assert_eq!(r.plan, PlanTag::Lookahead);
     assert_eq!(r.class, ShapeClassTag::Irregular);
@@ -113,7 +126,7 @@ fn nn_lookahead_path() {
 fn nt_path_packs_b() {
     let _g = state_lock();
     // NT always restructures B (§4.3): Auto resolves to the fused pack.
-    let recs = trace_gemm(&fixed_config(), Op::NoTrans, Op::Trans, 64, 64, 64);
+    let recs = trace_gemm(&base_config(), Op::NoTrans, Op::Trans, 64, 64, 64);
     let r = sole_record(&recs, 64, 64, 64);
     assert_eq!(r.plan, PlanTag::FusedPack);
     assert_eq!((r.op_a, r.op_b), (b'N', b'T'));
@@ -125,7 +138,7 @@ fn nt_path_packs_b() {
     // a separable (and therefore timed) span.
     let cfg = GemmConfig {
         packing: PackingPolicy::AlwaysSequential,
-        ..fixed_config()
+        ..base_config()
     };
     let recs = trace_gemm(&cfg, Op::NoTrans, Op::Trans, 64, 64, 64);
     let r = sole_record(&recs, 64, 64, 64);
@@ -138,11 +151,33 @@ fn tn_path_packs_a() {
     let _g = state_lock();
     // TN: B-side plan follows the NN rules (here: no-pack), but A must be
     // transpose-packed, which shows up as a nonzero pack span.
-    let recs = trace_gemm(&fixed_config(), Op::Trans, Op::NoTrans, 64, 64, 64);
+    let recs = trace_gemm(&base_config(), Op::Trans, Op::NoTrans, 64, 64, 64);
     let r = sole_record(&recs, 64, 64, 64);
     assert_eq!(r.plan, PlanTag::NoPack);
     assert_eq!((r.op_a, r.op_b), (b'T', b'N'));
     assert!(r.pack_ns > 0, "TN must spend time transpose-packing A");
+}
+
+#[test]
+fn wide_transposed_paths_record_the_family_route() {
+    let _g = state_lock();
+    let Some(fam) = shalom_kernels::selected_wide_family() else {
+        return;
+    };
+    // On a wide host NT and TN take the kernel family (§4.3: the
+    // transposed operand is packed, then the NN micro-kernel runs), and
+    // the record says so: the family's tile and its per-panel sequential
+    // B pack. TN's staged Aᵀ blocks are timed as pack time.
+    for (op_a, op_b) in [(Op::NoTrans, Op::Trans), (Op::Trans, Op::NoTrans)] {
+        let recs = trace_gemm(&fixed_config(), op_a, op_b, 64, 64, 64);
+        let r = sole_record(&recs, 64, 64, 64);
+        assert_eq!((r.mr as usize, r.nr as usize), (fam.k_f32.mr, fam.k_f32.nr));
+        assert_eq!(r.plan, PlanTag::SequentialPack);
+        assert!(
+            r.pack_ns > 0,
+            "{op_a:?}{op_b:?}: the family's packs must be timed"
+        );
+    }
 }
 
 #[test]

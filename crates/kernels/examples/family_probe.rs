@@ -1,6 +1,7 @@
 //! Prints the dispatched wide family and a quick GFLOPS sanity figure.
 
 use shalom_kernels::family::{self, FamilyElem};
+use shalom_matrix::Op;
 use std::time::Instant;
 
 fn main() {
@@ -14,15 +15,18 @@ fn main() {
     let b = vec![1.0f32; k * n];
     let mut c = vec![0.0f32; m * n];
     let kc = 96;
-    let (bce, ate) = family::family_workspace::<f32>(fam, kc);
+    let (bce, ate) = family::family_workspace::<f32>(fam, Op::NoTrans, kc, m);
     let mut bc = vec![0.0f32; bce];
     let mut at = vec![0.0f32; ate];
     let reps = 20000;
     let t0 = Instant::now();
     for _ in 0..reps {
         unsafe {
-            family::family_gemm_nn::<f32>(
+            family::family_gemm::<f32>(
                 fam,
+                Op::NoTrans,
+                Op::NoTrans,
+                false,
                 m,
                 n,
                 k,
@@ -35,8 +39,10 @@ fn main() {
                 c.as_mut_ptr(),
                 n,
                 kc,
+                m,
                 bc.as_mut_ptr(),
                 at.as_mut_ptr(),
+                &|_, body| body(),
             );
         }
     }

@@ -23,17 +23,21 @@
 //! 256-bit *SVE* file and stay as the paper's §5.5 ARM study; these
 //! families are the x86 register files actually dispatched at runtime.)
 //!
-//! [`family_gemm_nn`] is the blocked NN driver over a family: it packs B
-//! panels with the Goto sliver packer, runs full tiles directly on C, and
-//! stages edge tiles through a zero-padded scratch tile so the shaped
-//! kernel never reads or writes out of bounds.
+//! [`family_gemm`] is the one blocked driver over a family, for all four
+//! op modes. Following §4.3, a transposed operand is packed and then runs
+//! the same micro-kernel as NN: "NT packs B" (each B panel is
+//! transpose-packed into the layout the Goto sliver packer gives an
+//! untransposed B) and "TN packs A" (each `mc x kc` block of `Aᵀ` is
+//! staged once and read by every panel). Full tiles run directly on C;
+//! edge tiles go through a zero-padded scratch tile so the shaped kernel
+//! never reads or writes out of bounds.
 
 #[cfg(any(test, all(target_arch = "x86_64", not(feature = "force-scalar"))))]
 use crate::main_kernel::main_kernel_shape;
-use crate::pack::pack_b_slivers_goto;
+use crate::pack::{pack_b_slivers_goto, pack_transpose};
 #[cfg(any(test, all(target_arch = "x86_64", not(feature = "force-scalar"))))]
 use crate::tile::{solve_tile, TileConstraints};
-use shalom_matrix::Scalar;
+use shalom_matrix::{Op, Scalar};
 use shalom_simd::caps::{self, Isa};
 use std::sync::OnceLock;
 
@@ -299,36 +303,94 @@ pub fn selected_wide_family() -> Option<&'static KernelFamily> {
     }
 }
 
-/// Workspace elements `family_gemm_nn` needs for a `kc`-deep block:
-/// `(bc_elems, at_elems)` — one packed B panel of `kc x nr`, plus an edge
-/// staging area of `mr x kc` (A rows) and `mr x nr` (C tile).
-pub fn family_workspace<T: FamilyElem>(fam: &KernelFamily, kc: usize) -> (usize, usize) {
-    let ks = T::kernels(fam);
-    (kc * ks.nr, ks.mr * kc + ks.mr * ks.nr)
+/// A phase of [`family_gemm`] the caller may time or trace: the driver
+/// runs each one through its `span` hook, so the wide route reports the
+/// same pack/compute split as the 128-bit driver.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FamilyPhase {
+    /// Staging one block of `Aᵀ` (§4.3 "TN packs A").
+    PackA,
+    /// Packing one B panel, transposed or not.
+    PackB,
+    /// The panel sweep of one `m x n x k` block, its B packs included.
+    Compute {
+        /// Rows of the block.
+        m: usize,
+        /// Columns of the block.
+        n: usize,
+        /// Depth of the block.
+        k: usize,
+    },
 }
 
-/// Blocked NN driver over one kernel family:
-/// `C = alpha * A * B + beta * C` with row-major operands.
+/// Workspace elements [`family_gemm`] needs for `kc`-deep, `mc`-row
+/// blocks: `(bc_elems, at_elems)`. `bc` holds one packed `kc x nr` B
+/// panel followed by the edge staging area (an `mr x nr` C tile, then
+/// `mr x kc` A rows); `at` holds the staged `op(A) = Aᵀ` block — `mc`
+/// rounded up to whole `mr`-row tiles, by `kc` — and is empty for an
+/// untransposed A, which the driver reads in place.
+pub fn family_workspace<T: FamilyElem>(
+    fam: &KernelFamily,
+    op_a: Op,
+    kc: usize,
+    mc: usize,
+) -> (usize, usize) {
+    let ks = T::kernels(fam);
+    let at_elems = match op_a {
+        Op::NoTrans => 0,
+        Op::Trans => mc.div_ceil(ks.mr) * ks.mr * kc,
+    };
+    (kc * ks.nr + ks.mr * ks.nr + ks.mr * kc, at_elems)
+}
+
+/// Blocked driver over one kernel family, for every op mode:
+/// `C = alpha * op(A) * op(B) + beta * C` with row-major operands.
 ///
-/// Loop order is `kk` (depth blocks of `kc`) → `j` (B panels of `nr`,
-/// packed once into `bc`) → `i` (row tiles of `mr`). Full tiles run the
-/// family kernel directly on `C`; edge tiles stage zero-padded A rows and
-/// a scratch C tile in `at` so the shaped kernel never touches
-/// out-of-bounds memory, then merge the `nrows x ncols` result.
+/// Loop order is `kk` (depth blocks of `kc`) → `ii` (row blocks of `mc`,
+/// rounded up to whole `mr`-row tiles) → `j` (B panels of `nr`) → `i`
+/// (row tiles of `mr`). The op modes differ only in how an operand
+/// reaches the kernel (§4.3), and each choice is made once per block or
+/// panel, never per tile:
+///
+/// * **B panel.** `op_b = N` packs the `kc x nr` panel with the Goto
+///   sliver packer — or, with `direct_b`, reads every full-width panel in
+///   place (the caller's "never pack" policy; the one partial panel is
+///   still staged zero-padded, since the kernel loads whole vectors);
+///   `T` transpose-packs the `ncols` stored rows into the same
+///   zero-padded panel ("NT packs B").
+/// * **A block.** `op_a = N` reads A in place; `T` stages the `(ii, kk)`
+///   block of `Aᵀ` into `at` once, zero-padded to whole tiles, and every
+///   panel reads it from there ("TN packs A").
+///
+/// `span` runs every A staging, B pack and block sweep, tagged with its
+/// [`FamilyPhase`], so callers can time and trace them (pass
+/// `&|_, body| body()` when there is nothing to record).
+///
+/// Full tiles run the family kernel directly on `C`; edge tiles compute
+/// into a scratch C tile and merge the `nrows x ncols` result. The rows of
+/// a partial tile of an untransposed A are staged, zero-padded, once per
+/// block on its first panel, so the shaped kernel never reads out of
+/// bounds.
 ///
 /// # Safety
-/// * `a` valid for `m x k` reads at row stride `lda` (`lda >= k`);
-/// * `b` valid for `k x n` reads at row stride `ldb` (`ldb >= n`);
+/// * `a` valid for reads of the stored A — `m x k` for `op_a = N`,
+///   `k x m` for `T` — at row stride `lda` (at least its column count);
+/// * `b` likewise for the stored B — `k x n` for `N`, `n x k` for `T` —
+///   at `ldb`;
 /// * `c` valid for `m x n` reads/writes at row stride `ldc` (`ldc >= n`),
 ///   not aliasing `a`/`b`;
-/// * `bc`/`at` sized per [`family_workspace`] for this `fam`/`kc`, not
-///   aliasing anything above;
-/// * `m, n, k, kc >= 1`;
+/// * `bc`/`at` sized per [`family_workspace`] for this `fam`, `op_a`,
+///   `kc` and `mc`, not aliasing anything above;
+/// * `m, n, k, kc, mc >= 1`;
 /// * `fam` was obtained from [`family_for`]/[`selected_wide_family`] on
 ///   this host (its ISA probe passed).
 // CONTRACT(SHALOM-K-FAMILY)
-pub unsafe fn family_gemm_nn<T: Scalar + FamilyElem>(
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn family_gemm<T: Scalar + FamilyElem>(
     fam: &KernelFamily,
+    op_a: Op,
+    op_b: Op,
+    direct_b: bool,
     m: usize,
     n: usize,
     k: usize,
@@ -341,18 +403,24 @@ pub unsafe fn family_gemm_nn<T: Scalar + FamilyElem>(
     c: *mut T,
     ldc: usize,
     kc: usize,
+    mc: usize,
     bc: *mut T,
     at: *mut T,
+    span: &dyn Fn(FamilyPhase, &mut dyn FnMut()),
 ) {
     // PANIC-OK(api): driver precondition, caught before any unsafe work.
     assert!(
-        m >= 1 && n >= 1 && k >= 1 && kc >= 1,
-        "family_gemm_nn: empty problem"
+        m >= 1 && n >= 1 && k >= 1 && kc >= 1 && mc >= 1,
+        "family_gemm: empty problem"
     );
     let ks = T::kernels(fam);
     let (mr, nr, kernel) = (ks.mr, ks.nr, ks.kernel);
-    let a_pad = at; // mr x kc, row stride kc_block
-    let c_pad = at.add(mr * kc); // mr x nr, row stride nr
+    let trans_a = op_a == Op::Trans;
+    let trans_b = op_b == Op::Trans;
+    let tiles = mc.div_ceil(mr);
+    let mcr = tiles * mr;
+    let c_pad = bc.add(kc * nr); // mr x nr, row stride nr
+    let a_pad = bc.add(kc * nr + mr * nr); // mr x kcb, row stride kcb
 
     let mut kk = 0;
     while kk < k {
@@ -360,65 +428,180 @@ pub unsafe fn family_gemm_nn<T: Scalar + FamilyElem>(
         // First depth block applies the caller's beta; later blocks
         // accumulate on top of it.
         let beta_eff = if kk == 0 { beta } else { T::ONE };
-        let mut j = 0;
-        while j < n {
-            let ncols = nr.min(n - j);
-            // SAFETY: SHALOM-K-PACK-B — `b + kk*ldb + j` covers the
-            // `kcb x ncols` panel (`ldb >= n`); `bc` holds `kc * nr`
-            // elements and `ncols <= nr` means exactly one sliver.
-            pack_b_slivers_goto(b.add(kk * ldb + j), ldb, kcb, ncols, nr, bc);
-            let mut i = 0;
-            while i < m {
-                let nrows = mr.min(m - i);
-                if nrows == mr && ncols == nr {
-                    // SAFETY: SHALOM-K-MAIN — full tile: A rows
-                    // `i..i+mr` x `kk..kk+kcb` at stride `lda >= k`; the
-                    // packed panel is `kcb x nr` at stride `nr`; C rows
-                    // `i..i+mr` x `j..j+nr` at stride `ldc >= n`.
-                    kernel(
-                        kcb,
-                        alpha,
-                        a.add(i * lda + kk),
-                        lda,
-                        bc,
-                        nr,
-                        beta_eff,
-                        c.add(i * ldc + j),
-                        ldc,
-                    );
-                } else {
-                    // Stage the partial A tile zero-padded to mr rows so
-                    // the shaped kernel reads only initialized memory.
-                    for r in 0..mr {
-                        let dst = a_pad.add(r * kcb);
-                        if r < nrows {
-                            core::ptr::copy_nonoverlapping(a.add((i + r) * lda + kk), dst, kcb);
+        let mut ii = 0;
+        while ii < m {
+            let mcb = mcr.min(m - ii);
+            if trans_a {
+                // SAFETY: SHALOM-K-FAMILY-AT — the stored A is k x m at
+                // `lda`; `kk + kcb <= k`, `ii + mcb <= m`, and `at` holds
+                // `tiles * mr >= ceil(mcb/mr) * mr` rows of `kc >= kcb`.
+                span(FamilyPhase::PackA, &mut || {
+                    stage_at_block(a, lda, m, k, ii, kk, mcb, kcb, mr, at)
+                });
+            }
+            let mut sweep = || {
+                let mut j = 0;
+                while j < n {
+                    let ncols = nr.min(n - j);
+                    // This panel's B: transpose-packed, read in place, or
+                    // packed by the Goto sliver packer.
+                    let (bp, ldbp) = if trans_b {
+                        // SAFETY: SHALOM-K-FAMILY-BT — the stored B is n x k at
+                        // `ldb`; `j + ncols <= n`, `kk + kcb <= k`, `ncols <= nr`,
+                        // and `bc` starts with the `kc x nr` panel.
+                        span(FamilyPhase::PackB, &mut || {
+                            pack_bt_panel(b, ldb, n, k, j, kk, ncols, kcb, nr, bc)
+                        });
+                        (bc as *const T, nr)
+                    } else if direct_b && ncols == nr {
+                        (b.add(kk * ldb + j), ldb)
+                    } else {
+                        // SAFETY: SHALOM-K-PACK-B — `b + kk*ldb + j` covers the
+                        // `kcb x ncols` panel (`ldb >= n`); `bc` starts with
+                        // `kc * nr` elements and `ncols <= nr` means one sliver.
+                        span(FamilyPhase::PackB, &mut || {
+                            pack_b_slivers_goto(b.add(kk * ldb + j), ldb, kcb, ncols, nr, bc);
+                        });
+                        (bc as *const T, nr)
+                    };
+                    let mut i = 0;
+                    while i < mcb {
+                        let nrows = mr.min(mcb - i);
+                        // This tile's A rows: the staged Aᵀ block, A in place,
+                        // or — for a partial tile of an untransposed A — rows
+                        // staged zero-padded on the block's first panel.
+                        let (ap, ldap) = if trans_a {
+                            (at.add(i * kcb) as *const T, kcb)
+                        } else if nrows == mr {
+                            (a.add((ii + i) * lda + kk), lda)
                         } else {
-                            core::ptr::write_bytes(dst, 0, kcb);
-                        }
-                    }
-                    // SAFETY: SHALOM-K-MAIN — staged tile: `a_pad` is
-                    // `mr x kcb` at stride `kcb`, panel as above, and
-                    // `c_pad` is `mr x nr` at stride `nr`; beta = 0 makes
-                    // the kernel overwrite `c_pad` without reading it.
-                    kernel(kcb, alpha, a_pad, kcb, bc, nr, T::ZERO, c_pad, nr);
-                    for r in 0..nrows {
-                        let crow = c.add((i + r) * ldc + j);
-                        let prow = c_pad.add(r * nr);
-                        if beta_eff == T::ZERO {
-                            core::ptr::copy_nonoverlapping(prow, crow, ncols);
+                            if j == 0 {
+                                for r in 0..mr {
+                                    let dst = a_pad.add(r * kcb);
+                                    if r < nrows {
+                                        core::ptr::copy_nonoverlapping(
+                                            a.add((ii + i + r) * lda + kk),
+                                            dst,
+                                            kcb,
+                                        );
+                                    } else {
+                                        core::ptr::write_bytes(dst, 0, kcb);
+                                    }
+                                }
+                            }
+                            (a_pad as *const T, kcb)
+                        };
+                        if nrows == mr && ncols == nr {
+                            // SAFETY: SHALOM-K-MAIN — full tile: `ap` covers
+                            // `mr x kcb` at stride `ldap` (A in place at
+                            // `lda >= k`, or the staged block at `kcb`); `bp`
+                            // covers `kcb x nr` at stride `ldbp` (the panel at
+                            // `nr`, or B in place at `ldb >= n`); C rows
+                            // `ii+i..ii+i+mr` x `j..j+nr` at stride `ldc >= n`.
+                            kernel(
+                                kcb,
+                                alpha,
+                                ap,
+                                ldap,
+                                bp,
+                                ldbp,
+                                beta_eff,
+                                c.add((ii + i) * ldc + j),
+                                ldc,
+                            );
                         } else {
-                            for s in 0..ncols {
-                                *crow.add(s) = *prow.add(s) + beta_eff * *crow.add(s);
+                            // SAFETY: SHALOM-K-MAIN — edge tile: `ap` covers
+                            // `mr x kcb` zero-padded rows at `ldap`, `bp` is as
+                            // above, and `c_pad` is `mr x nr` at stride `nr`;
+                            // beta = 0 makes the kernel overwrite `c_pad`
+                            // without reading it.
+                            kernel(kcb, alpha, ap, ldap, bp, ldbp, T::ZERO, c_pad, nr);
+                            for r in 0..nrows {
+                                let crow = c.add((ii + i + r) * ldc + j);
+                                let prow = c_pad.add(r * nr);
+                                if beta_eff == T::ZERO {
+                                    core::ptr::copy_nonoverlapping(prow, crow, ncols);
+                                } else {
+                                    for s in 0..ncols {
+                                        *crow.add(s) = *prow.add(s) + beta_eff * *crow.add(s);
+                                    }
+                                }
                             }
                         }
+                        i += mr;
                     }
+                    j += nr;
                 }
-                i += mr;
-            }
-            j += nr;
+            };
+            span(FamilyPhase::Compute { m: mcb, n, k: kcb }, &mut sweep);
+            ii += mcb;
         }
         kk += kc;
+    }
+}
+
+/// §4.3 "TN packs A": stages rows `ii..ii+mb` by depth `kk..kk+kb` of
+/// `op(A) = Aᵀ`, read from the stored `k x m` matrix `a`, into `dst` as
+/// an `mb x kb` row-major block (row stride `kb`), zero-padded to whole
+/// `mr`-row tiles so the edge tile reads it in place.
+///
+/// # Safety
+/// `a` valid for `k x m` reads at stride `lda`; `kb, mr >= 1`,
+/// `kk + kb <= k` and `ii + mb <= m`; `dst` valid for
+/// `ceil(mb/mr) * mr * kb` writes and not aliasing `a`.
+// CONTRACT(SHALOM-K-FAMILY-AT)
+#[allow(clippy::too_many_arguments)]
+unsafe fn stage_at_block<T: Scalar>(
+    a: *const T,
+    lda: usize,
+    m: usize,
+    k: usize,
+    ii: usize,
+    kk: usize,
+    mb: usize,
+    kb: usize,
+    mr: usize,
+    dst: *mut T,
+) {
+    debug_assert!(kb >= 1 && mr >= 1 && kk + kb <= k && ii + mb <= m);
+    // SAFETY: SHALOM-K-PACK-TRANS — the source is the `kb x mb` stored
+    // block at `kk * lda + ii`; `dst` takes its `mb x kb` transpose.
+    pack_transpose(a.add(kk * lda + ii), lda, kb, mb, dst, kb);
+    let tiles = mb.div_ceil(mr);
+    core::ptr::write_bytes(dst.add(mb * kb), 0, (tiles * mr - mb) * kb);
+}
+
+/// §4.3 "NT packs B": transpose-packs the `nb` stored rows `j..j+nb` of
+/// a transposed B (`n x k` at stride `ldb`), depth `kk..kk+kb`, into the
+/// `kb x nr` panel layout [`pack_b_slivers_goto`] produces, with columns
+/// `nb..nr` zero.
+///
+/// # Safety
+/// `b` valid for `n x k` reads at stride `ldb`; `kb, nb >= 1`,
+/// `kk + kb <= k`, `j + nb <= n` and `nb <= nr`; `bc` valid for `kb * nr`
+/// writes and not aliasing `b`.
+// CONTRACT(SHALOM-K-FAMILY-BT)
+#[allow(clippy::too_many_arguments)]
+unsafe fn pack_bt_panel<T: Scalar>(
+    b: *const T,
+    ldb: usize,
+    n: usize,
+    k: usize,
+    j: usize,
+    kk: usize,
+    nb: usize,
+    kb: usize,
+    nr: usize,
+    bc: *mut T,
+) {
+    debug_assert!(kb >= 1 && nb >= 1 && kk + kb <= k && j + nb <= n && nb <= nr);
+    // SAFETY: SHALOM-K-PACK-TRANS — the source is the `nb x kb` stored
+    // block at `j * ldb + kk`; `bc` takes its transpose at stride `nr`.
+    pack_transpose(b.add(j * ldb + kk), ldb, nb, kb, bc, nr);
+    if nb < nr {
+        for p in 0..kb {
+            core::ptr::write_bytes(bc.add(p * nr + nb), 0, nr - nb);
+        }
     }
 }
 
@@ -463,7 +646,12 @@ mod tests {
         }
     }
 
+    /// `C = alpha * op(A) * op(B) + beta * C` over stored operands at tight
+    /// strides, accumulated in f64.
+    #[allow(clippy::too_many_arguments)]
     fn reference_gemm<T: Scalar>(
+        op_a: Op,
+        op_b: Op,
         m: usize,
         n: usize,
         k: usize,
@@ -477,7 +665,17 @@ mod tests {
             for j in 0..n {
                 let mut acc = 0.0f64;
                 for p in 0..k {
-                    acc += a[i * k + p].to_f64() * b[p * n + j].to_f64();
+                    let av = if op_a == Op::NoTrans {
+                        a[i * k + p]
+                    } else {
+                        a[p * m + i]
+                    };
+                    let bv = if op_b == Op::NoTrans {
+                        b[p * n + j]
+                    } else {
+                        b[j * k + p]
+                    };
+                    acc += av.to_f64() * bv.to_f64();
                 }
                 c[i * n + j] =
                     T::from_f64(alpha.to_f64() * acc + beta.to_f64() * c[i * n + j].to_f64());
@@ -485,7 +683,18 @@ mod tests {
         }
     }
 
-    fn check_family_gemm<T: Scalar + FamilyElem>(fam: &KernelFamily, m: usize, n: usize, k: usize) {
+    #[allow(clippy::too_many_arguments)]
+    fn check_family_gemm<T: Scalar + FamilyElem>(
+        fam: &KernelFamily,
+        op_a: Op,
+        op_b: Op,
+        direct_b: bool,
+        m: usize,
+        n: usize,
+        k: usize,
+        kc: usize,
+        mc: usize,
+    ) {
         let gen = |seed: usize, len: usize| -> Vec<T> {
             (0..len)
                 .map(|i| T::from_f64((((i * 31 + seed * 17) % 23) as f64 - 11.0) / 7.0))
@@ -494,42 +703,65 @@ mod tests {
         let a = gen(1, m * k);
         let b = gen(2, k * n);
         let c0 = gen(3, m * n);
+        // Stored row strides: the column count of the stored operand.
+        let lda = if op_a == Op::NoTrans { k } else { m };
+        let ldb = if op_b == Op::NoTrans { n } else { k };
         for (alpha, beta) in [(1.0, 0.0), (0.5, 1.0), (-1.25, 2.0)] {
             let (alpha, beta) = (T::from_f64(alpha), T::from_f64(beta));
             let mut c = c0.clone();
             let mut want = c0.clone();
-            let kc = 32.min(k.max(1));
-            let (bc_elems, at_elems) = family_workspace::<T>(fam, kc);
+            let kc = kc.min(k);
+            let (bc_elems, at_elems) = family_workspace::<T>(fam, op_a, kc, mc);
             let mut bc = vec![T::ZERO; bc_elems];
             let mut at = vec![T::ZERO; at_elems];
-            // SAFETY: SHALOM-K-MAIN — a/b/c are owned m x k / k x n /
-            // m x n buffers at tight strides, bc/at sized per
-            // family_workspace, and `fam` came from the runtime registry.
+            let stagings = core::cell::Cell::new(0usize);
+            // SAFETY: SHALOM-K-FAMILY — a/b/c are owned stored operands at
+            // tight strides, bc/at sized per family_workspace, and `fam`
+            // came from the runtime registry.
             unsafe {
-                family_gemm_nn::<T>(
+                family_gemm::<T>(
                     fam,
+                    op_a,
+                    op_b,
+                    direct_b,
                     m,
                     n,
                     k,
                     alpha,
                     a.as_ptr(),
-                    k,
+                    lda,
                     b.as_ptr(),
-                    n,
+                    ldb,
                     beta,
                     c.as_mut_ptr(),
                     n,
                     kc,
+                    mc,
                     bc.as_mut_ptr(),
                     at.as_mut_ptr(),
+                    &|phase, body| {
+                        if phase == FamilyPhase::PackA {
+                            stagings.set(stagings.get() + 1);
+                        }
+                        body()
+                    },
                 );
             }
-            reference_gemm(m, n, k, alpha, &a, &b, beta, &mut want);
+            // TN packs A once per (ii, kk) block, never per tile or panel.
+            let mr = T::kernels(fam).mr;
+            let mcr = mc.div_ceil(mr) * mr;
+            let blocks = if op_a == Op::Trans {
+                m.div_ceil(mcr) * k.div_ceil(kc)
+            } else {
+                0
+            };
+            assert_eq!(stagings.get(), blocks, "{op_a:?}{op_b:?} {m}x{n}x{k}");
+            reference_gemm(op_a, op_b, m, n, k, alpha, &a, &b, beta, &mut want);
             let tol = T::from_f64(1e-4 * k as f64);
             for (i, (&got, &want)) in c.iter().zip(want.iter()).enumerate() {
                 assert!(
                     (got - want).abs() <= tol.abs(),
-                    "({m}x{n}x{k}) idx {i}: got {got}, want {want}"
+                    "{op_a:?}{op_b:?} ({m}x{n}x{k}) idx {i}: got {got}, want {want}"
                 );
             }
         }
@@ -690,20 +922,33 @@ mod tests {
 
     #[test]
     fn family_gemm_matches_reference_over_edge_lattice() {
+        const OPS: [(Op, Op); 4] = [
+            (Op::NoTrans, Op::NoTrans),
+            (Op::NoTrans, Op::Trans),
+            (Op::Trans, Op::NoTrans),
+            (Op::Trans, Op::Trans),
+        ];
         for isa in [Isa::Avx2W256, Isa::Avx512W512] {
             let Some(fam) = family_for(isa) else { continue };
             let (mr32, nr32) = (fam.k_f32.mr, fam.k_f32.nr);
+            // (m, n, k, kc, mc): several kc and mc blocks, and an mc that
+            // is not a whole number of tiles (the driver rounds it up).
             let shapes = [
-                (1, 1, 1),
-                (mr32, nr32, 8),
-                (mr32 - 1, nr32 + 1, 5),
-                (2 * mr32 + 3, 2 * nr32 + 5, 70),
-                (3, 2 * nr32, 33),
-                (2 * mr32, 3, 40),
+                (1, 1, 1, 32, 64),
+                (mr32, nr32, 8, 32, 64),
+                (mr32 - 1, nr32 + 1, 5, 32, 64),
+                (2 * mr32 + 3, 2 * nr32 + 5, 70, 32, 64),
+                (3, 2 * nr32, 33, 8, 64),
+                (2 * mr32, 3, 40, 16, 64),
+                (5 * mr32 + 2, nr32 + 3, 37, 16, 2 * mr32 - 1),
             ];
-            for (m, n, k) in shapes {
-                check_family_gemm::<f32>(fam, m, n, k);
-                check_family_gemm::<f64>(fam, m, n, k);
+            for (op_a, op_b) in OPS {
+                for direct_b in [false, true] {
+                    for (m, n, k, kc, mc) in shapes {
+                        check_family_gemm::<f32>(fam, op_a, op_b, direct_b, m, n, k, kc, mc);
+                        check_family_gemm::<f64>(fam, op_a, op_b, direct_b, m, n, k, kc, mc);
+                    }
+                }
             }
         }
     }

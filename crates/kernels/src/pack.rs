@@ -37,11 +37,20 @@ pub unsafe fn pack_copy<T: Scalar>(
     }
 }
 
+/// Edge of the square tiles [`pack_transpose`] walks. One tile touches 16
+/// source rows and 16 destination rows, so both stay L1-resident whatever
+/// the strides; a row-at-a-time walk instead writes one element per
+/// destination row at stride `ld_dst`, and at `ld_dst = 256` those stores
+/// all land in the same few L1 sets.
+const TRANSPOSE_TILE: usize = 16;
+
 /// Transpose-packs a `rows x cols` block (stride `ld_src`) into a
-/// `cols x rows` buffer (stride `ld_dst`): `dst[c][r] = src[r][c]`.
+/// `cols x rows` buffer (stride `ld_dst`): `dst[c][r] = src[r][c]`,
+/// walked in 16 x 16 tiles (`TRANSPOSE_TILE`).
 ///
-/// Used to prepare `op(A)` slivers in the TN/TT modes and as the
-/// sequential (non-fused) NT B-pack of the baselines.
+/// Used to prepare `op(A)` blocks in the TN/TT modes, the wide driver's
+/// transposed B panels, and the sequential (non-fused) NT B-pack of the
+/// baselines.
 ///
 /// # Safety
 /// `src` valid for `rows x cols` reads at stride `ld_src`; `dst` valid for
@@ -62,11 +71,21 @@ pub unsafe fn pack_transpose<T: Scalar>(
         debug_assert!(!src.is_null() && !dst.is_null());
         debug_assert!(rows <= 1 || ld_src >= cols);
     }
-    for r in 0..rows {
-        let srow = src.add(r * ld_src);
-        for c in 0..cols {
-            *dst.add(c * ld_dst + r) = *srow.add(c);
+    let mut r0 = 0;
+    while r0 < rows {
+        let rb = TRANSPOSE_TILE.min(rows - r0);
+        let mut c0 = 0;
+        while c0 < cols {
+            let cb = TRANSPOSE_TILE.min(cols - c0);
+            for r in r0..r0 + rb {
+                let srow = src.add(r * ld_src);
+                for c in c0..c0 + cb {
+                    *dst.add(c * ld_dst + r) = *srow.add(c);
+                }
+            }
+            c0 += TRANSPOSE_TILE;
         }
+        r0 += TRANSPOSE_TILE;
     }
 }
 
@@ -201,6 +220,48 @@ mod tests {
         for r in 0..5 {
             for c in 0..3 {
                 assert_eq!(back[r * 3 + c], src.at(r, c));
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_pack_covers_ragged_tiles_at_wide_strides() {
+        // Shapes straddling the 16-square tiles on both axes (ragged
+        // remainders of 1 and 15), padded strides on both sides, and the
+        // 1 KiB-stride destination (`ld_dst = 256` f32) of a kc = 256 pack.
+        for (rows, cols, ld_src, ld_dst) in [
+            (17, 33, 40, 20),
+            (31, 15, 15, 256),
+            (256, 45, 45, 256),
+            (1, 16, 16, 1),
+            (16, 1, 3, 16),
+        ] {
+            let src = Matrix::<f32>::random_with_ld(rows, cols, ld_src, 3);
+            let mut dst = vec![f32::NAN; cols * ld_dst];
+            // SAFETY: src is rows x cols at ld_src; dst holds cols rows of
+            // ld_dst >= rows elements.
+            unsafe {
+                pack_transpose(
+                    src.as_slice().as_ptr(),
+                    ld_src,
+                    rows,
+                    cols,
+                    dst.as_mut_ptr(),
+                    ld_dst,
+                );
+            }
+            for c in 0..cols {
+                for r in 0..ld_dst {
+                    let got = dst[c * ld_dst + r];
+                    if r < rows {
+                        assert_eq!(got, src.at(r, c), "{rows}x{cols} ({r},{c})");
+                    } else {
+                        assert!(
+                            got.is_nan(),
+                            "{rows}x{cols}: wrote past the block at ({r},{c})"
+                        );
+                    }
+                }
             }
         }
     }
