@@ -25,7 +25,7 @@ mod scalar;
 mod view;
 
 pub use compare::{assert_close, gemm_tolerance, max_abs_diff, max_rel_diff};
-pub use im2col::{im2col, ConvShape};
+pub use im2col::{im2col, im2col_into, ConvShape};
 pub use matrix::Matrix;
 pub use scalar::Scalar;
 pub use view::{MatMut, MatRef};

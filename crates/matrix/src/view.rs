@@ -300,12 +300,27 @@ impl<'a, T: Scalar> MatMut<'a, T> {
         }
     }
 
+    /// Row `i` as a mutable slice of `cols` elements (its `ld` padding
+    /// excluded).
+    ///
+    /// # Panics
+    /// If `i >= rows`.
+    #[inline(always)]
+    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
+        assert!(i < self.rows, "row {i} out of bounds ({} rows)", self.rows);
+        if self.cols == 0 {
+            return &mut [];
+        }
+        // The view owns `(rows-1)*ld + cols` elements exclusively for its
+        // lifetime (`from_slice` checked it, `from_raw_parts` requires it),
+        // and `&mut self` keeps the slice the only live access.
+        unsafe { core::slice::from_raw_parts_mut(self.ptr.add(i * self.ld), self.cols) }
+    }
+
     /// Fills the viewed elements with `v` (leaving `ld` padding untouched).
     pub fn fill(&mut self, v: T) {
         for i in 0..self.rows {
-            for j in 0..self.cols {
-                unsafe { *self.ptr.add(i * self.ld + j) = v };
-            }
+            self.row_mut(i).fill(v);
         }
     }
 }
@@ -370,6 +385,15 @@ mod tests {
         assert_eq!(m.at(0, 2), 0.0);
         // ld padding untouched
         assert_eq!(data[3], 0.0);
+    }
+
+    #[test]
+    fn row_mut_excludes_ld_padding() {
+        let mut data = [0.0f64; 7];
+        let mut m = MatMut::from_slice(&mut data, 2, 3, 4);
+        assert_eq!(m.row_mut(1).len(), 3);
+        m.row_mut(1).copy_from_slice(&[1.0, 2.0, 3.0]);
+        assert_eq!(data, [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! * [`Conv2d`] — a stride-1 2-D convolution with symmetric zero padding,
 //!   weights stored as the `c_out x (c_in*kh*kw)` filter matrix;
-//! * [`Conv2d::forward`] — single image: `im2col` + one irregular GEMM;
+//! * [`Conv2d::forward`] — single image: `im2col` into this thread's
+//!   reused lowering buffer + one irregular GEMM;
 //! * [`Conv2d::forward_batch`] — a mini-batch: one lowering per image and
 //!   the GEMMs dispatched through `shalom_core::gemm_batch` (each GEMM
 //!   is itself internally parallelizable; the batch path follows the
@@ -21,8 +22,39 @@
 #![deny(missing_docs)]
 
 use shalom_core::{gemm_batch_beta, gemm_with, BatchItem, GemmConfig, GemmElem, Op};
-use shalom_matrix::{im2col, ConvShape, MatMut, Matrix, Scalar};
+use shalom_matrix::{im2col, im2col_into, ConvShape, MatMut, MatRef, Matrix, Scalar};
 use shalom_service::{GemmRequest, Service, ServiceElem, ServiceError};
+use std::any::Any;
+use std::cell::RefCell;
+
+thread_local! {
+    /// This thread's lowering buffers, at most one `Vec<T>` per element
+    /// type, shared by every layer the thread runs.
+    static LOWERING: RefCell<Vec<Box<dyn Any>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's lowering buffer for `T`, grown to at least
+/// `len` elements. The buffer keeps whatever the last lowering left in it;
+/// it is only ever zeroed by the allocation that grows it.
+fn with_lowering_buffer<T: Scalar + 'static>(len: usize, f: impl FnOnce(&mut [T])) {
+    LOWERING.with(|slot| {
+        let mut bufs = slot.borrow_mut();
+        let i = match bufs.iter().position(|b| b.is::<Vec<T>>()) {
+            Some(i) => i,
+            None => {
+                bufs.push(Box::new(Vec::<T>::new()));
+                bufs.len() - 1
+            }
+        };
+        let buf = bufs[i].downcast_mut::<Vec<T>>().expect("slot holds Vec<T>");
+        if buf.len() < len {
+            // A fresh zeroed allocation, not `resize`: growing needs no
+            // copy of the stale contents.
+            *buf = vec![T::ZERO; len];
+        }
+        f(&mut buf[..len])
+    })
+}
 
 /// A stride-1 2-D convolution layer with im2col + GEMM execution.
 pub struct Conv2d<T> {
@@ -37,8 +69,10 @@ impl<T: GemmElem> Conv2d<T> {
     /// `c_out x (c_in*kh*kw)`.
     ///
     /// # Panics
-    /// If the filter matrix shape does not match `shape`.
+    /// If the kernel is empty or larger than the padded input, or the
+    /// filter matrix shape does not match `shape`.
     pub fn new(shape: ConvShape, weights: Matrix<T>, cfg: GemmConfig) -> Self {
+        shape.validate();
         let (m, _, k) = shape.gemm_dims();
         assert_eq!(weights.rows(), m, "filter rows must equal c_out");
         assert_eq!(weights.cols(), k, "filter cols must equal c_in*kh*kw");
@@ -64,22 +98,32 @@ impl<T: GemmElem> Conv2d<T> {
     /// row one channel, row-major spatial order). Returns the output as
     /// `c_out x (h_out*w_out)`.
     ///
+    /// The lowered `K x N` matrix goes into one buffer per thread and
+    /// element type, shared by every layer on that thread and grown to
+    /// the largest lowering seen, so a forward pass allocates only its
+    /// output.
+    ///
     /// # Panics
     /// If the input shape is wrong.
-    pub fn forward(&self, input: &Matrix<T>) -> Matrix<T> {
-        let (m, n, _) = self.shape.gemm_dims();
-        let lowered = im2col(&self.shape, input);
+    pub fn forward(&self, input: &Matrix<T>) -> Matrix<T>
+    where
+        T: 'static,
+    {
+        let (m, n, k) = self.shape.gemm_dims();
         let mut out = Matrix::zeros(m, n);
-        gemm_with(
-            &self.cfg,
-            Op::NoTrans,
-            Op::NoTrans,
-            T::ONE,
-            self.weights.as_ref(),
-            lowered.as_ref(),
-            T::ZERO,
-            out.as_mut(),
-        );
+        with_lowering_buffer(k * n, |buf: &mut [T]| {
+            im2col_into(&self.shape, input, MatMut::from_slice(buf, k, n, n));
+            gemm_with(
+                &self.cfg,
+                Op::NoTrans,
+                Op::NoTrans,
+                T::ONE,
+                self.weights.as_ref(),
+                MatRef::from_slice(buf, k, n, n),
+                T::ZERO,
+                out.as_mut(),
+            );
+        });
         out
     }
 
@@ -329,6 +373,120 @@ mod tests {
         assert_eq!((m, k), (64, 576));
         assert_eq!(n, 12544);
         assert!(n > 8 * m, "this is the paper's tall-and-skinny regime");
+    }
+
+    /// `forward` through a fresh `im2col` and `gemm_with`, the path the
+    /// reused lowering buffer must reproduce bitwise.
+    fn fresh_forward(layer: &Conv2d<f32>, input: &Matrix<f32>) -> Matrix<f32> {
+        let (m, n, _) = layer.gemm_dims();
+        let lowered = im2col(&layer.shape, input);
+        let mut out = Matrix::zeros(m, n);
+        gemm_with(
+            &layer.cfg,
+            Op::NoTrans,
+            Op::NoTrans,
+            1.0,
+            layer.weights.as_ref(),
+            lowered.as_ref(),
+            0.0,
+            out.as_mut(),
+        );
+        out
+    }
+
+    fn big_and_small_layers(threads: usize) -> [(Conv2d<f32>, Matrix<f32>); 2] {
+        let cfg = GemmConfig::with_threads(threads);
+        let big = ConvShape {
+            c_in: 4,
+            c_out: 9,
+            h: 23,
+            w: 19,
+            kh: 3,
+            kw: 3,
+            pad: 1,
+        };
+        // Smaller K and N, and padding, so a stale tail of the big
+        // lowering would land in the small one's columns and rows.
+        let small = ConvShape {
+            c_in: 2,
+            c_out: 5,
+            h: 7,
+            w: 6,
+            kh: 5,
+            kw: 2,
+            pad: 2,
+        };
+        [big, small].map(|shape| {
+            let input = Matrix::random(shape.c_in, shape.h * shape.w, 40 + shape.h as u64);
+            (Conv2d::random(shape, cfg, shape.w as u64), input)
+        })
+    }
+
+    #[test]
+    fn reused_lowering_buffer_matches_fresh_lowering() {
+        let [big, small] = big_and_small_layers(2);
+        for (layer, input) in [&big, &small, &big, &small, &small, &big] {
+            let got = layer.forward(input);
+            let want = fresh_forward(layer, input);
+            assert_eq!(got, want, "{:?}", layer.shape);
+        }
+    }
+
+    #[test]
+    fn concurrent_forwards_use_separate_buffers() {
+        let layers = big_and_small_layers(1);
+        let want: Vec<Matrix<f32>> = layers.iter().map(|(l, x)| fresh_forward(l, x)).collect();
+        std::thread::scope(|s| {
+            for first in 0..2 {
+                let (layers, want) = (&layers, &want);
+                s.spawn(move || {
+                    for r in 0..20 {
+                        let i = (first + r) % 2;
+                        let (layer, input) = &layers[i];
+                        assert_eq!(layer.forward(input), want[i], "thread {first} step {r}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel larger than padded input")]
+    fn kernel_larger_than_padded_input_rejected() {
+        // kh = 6 > h + 2*pad + 1 = 5: h_out would underflow.
+        let shape = ConvShape {
+            c_in: 1,
+            c_out: 2,
+            h: 2,
+            w: 4,
+            kh: 6,
+            kw: 3,
+            pad: 1,
+        };
+        let _ = Conv2d::new(
+            shape,
+            Matrix::<f32>::zeros(2, 18),
+            GemmConfig::with_threads(1),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel must be at least 1x1")]
+    fn empty_kernel_rejected() {
+        let shape = ConvShape {
+            c_in: 1,
+            c_out: 2,
+            h: 4,
+            w: 4,
+            kh: 0,
+            kw: 3,
+            pad: 0,
+        };
+        let _ = Conv2d::new(
+            shape,
+            Matrix::<f32>::zeros(2, 0),
+            GemmConfig::with_threads(1),
+        );
     }
 
     #[test]
