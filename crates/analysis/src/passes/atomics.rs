@@ -463,7 +463,7 @@ fn f(v: &AtomicUsize) {
     #[test]
     fn relaxed_publish_ok_tag_suppresses() {
         let src = "\
-// ORDERING(SHALOM-O-RING-RESET): quiescent wipe; readers hold no refs.
+// ORDERING(SHALOM-O-TRACE-RESET): quiescent wipe; readers hold no refs.
 fn f(v: &AtomicUsize) {
     let _ = v.load(Ordering::Acquire);
     v.store(0, Ordering::Relaxed);
@@ -476,7 +476,7 @@ fn f(v: &AtomicUsize) {
     #[test]
     fn seqlock_reader_missing_fence_is_flagged() {
         let src = "\
-// ORDERING(SHALOM-O-RING-SEQ-READER): seqlock reader side.
+// ORDERING(SHALOM-O-SEQLOCK-READER): seqlock reader side.
 fn recent(s: &Slot) -> bool {
     let s1 = s.seq.load(Ordering::Acquire);
     let v = unsafe { core::ptr::read_volatile(s.data.get()) };
@@ -493,7 +493,7 @@ fn recent(s: &Slot) -> bool {
     #[test]
     fn seqlock_reader_with_fence_passes() {
         let src = "\
-// ORDERING(SHALOM-O-RING-SEQ-READER): seqlock reader side.
+// ORDERING(SHALOM-O-SEQLOCK-READER): seqlock reader side.
 fn recent(s: &Slot) -> bool {
     let s1 = s.seq.load(Ordering::Acquire);
     let v = unsafe { core::ptr::read_volatile(s.data.get()) };
@@ -511,7 +511,7 @@ fn recent(s: &Slot) -> bool {
     #[test]
     fn seqlock_writer_missing_release_is_flagged() {
         let src = "\
-// ORDERING(SHALOM-O-RING-SEQ-WRITER): seqlock writer side.
+// ORDERING(SHALOM-O-SEQLOCK-WRITER): seqlock writer side.
 fn push(s: &Slot) {
     let s0 = s.seq.load(Ordering::Relaxed);
     if s.seq.compare_exchange(s0, s0 | 1, Ordering::Acquire, Ordering::Relaxed).is_err() {

@@ -481,7 +481,7 @@ fn f(v: &AtomicI64) {
     fn mixed_protocol_is_flagged() {
         let src = "\
 fn f(v: &AtomicU64) {
-    // ORDERING(SHALOM-O-RING-SEQ-WRITER): claims the seqlock writer side.
+    // ORDERING(SHALOM-O-SEQLOCK-WRITER): claims the seqlock writer side.
     v.fetch_or(1, Ordering::Acquire);
     // ORDERING(SHALOM-O-TRACE-PUBLISH): same word argued as plain publish.
     v.store(2, Ordering::Release);
@@ -497,20 +497,20 @@ fn f(v: &AtomicU64) {
     fn seqlock_plus_quiescent_reset_is_clean() {
         let src = "\
 fn write(v: &AtomicU64) {
-    // ORDERING(SHALOM-O-RING-SEQ-WRITER): odd mark.
+    // ORDERING(SHALOM-O-SEQLOCK-WRITER): odd mark.
     let _ = v.compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed);
-    // ORDERING(SHALOM-O-RING-SEQ-WRITER): even publish.
+    // ORDERING(SHALOM-O-SEQLOCK-WRITER): even publish.
     v.store(2, Ordering::Release);
 }
 fn read(v: &AtomicU64) -> bool {
-    // ORDERING(SHALOM-O-RING-SEQ-READER): seq load.
+    // ORDERING(SHALOM-O-SEQLOCK-READER): seq load.
     let s1 = v.load(Ordering::Acquire);
     std::sync::atomic::fence(Ordering::Acquire);
-    // ORDERING(SHALOM-O-RING-SEQ-READER): validate.
+    // ORDERING(SHALOM-O-SEQLOCK-READER): validate.
     v.load(Ordering::Relaxed) == s1
 }
 fn reset(v: &AtomicU64) {
-    // ORDERING(SHALOM-O-RING-RESET): quiescent wipe.
+    // ORDERING(SHALOM-O-TRACE-RESET): quiescent wipe.
     v.store(0, Ordering::Relaxed);
 }
 ";
@@ -545,9 +545,9 @@ fn f(v: &AtomicUsize) {
     fn seqlock_reader_without_writer_or_fence() {
         let src = "\
 fn read(v: &AtomicU64) -> bool {
-    // ORDERING(SHALOM-O-RING-SEQ-READER): seq load.
+    // ORDERING(SHALOM-O-SEQLOCK-READER): seq load.
     let s1 = v.load(Ordering::Acquire);
-    // ORDERING(SHALOM-O-RING-SEQ-READER): validate.
+    // ORDERING(SHALOM-O-SEQLOCK-READER): validate.
     v.load(Ordering::Relaxed) == s1
 }
 ";
@@ -561,7 +561,7 @@ fn read(v: &AtomicU64) -> bool {
     fn seqlock_writer_without_release_store() {
         let src = "\
 fn write(v: &AtomicU64) {
-    // ORDERING(SHALOM-O-RING-SEQ-WRITER): odd mark, never published.
+    // ORDERING(SHALOM-O-SEQLOCK-WRITER): odd mark, never published.
     let _ = v.fetch_or(1, Ordering::Acquire);
 }
 ";

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 static READY: AtomicUsize = AtomicUsize::new(0);
 static DATA: AtomicU64 = AtomicU64::new(0);
 
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "trace")]
 pub fn traced() {}
 
 #[cfg(feature = "undeclared")]

@@ -15,9 +15,10 @@ pub struct BenchArgs {
     pub part: Option<String>,
     /// Thread override (`--threads N`); 0 = all available.
     pub threads: Option<usize>,
-    /// Capture dispatch telemetry and write a JSON snapshot next to the
-    /// CSVs (`--telemetry`; needs the `telemetry` cargo feature).
-    pub telemetry: bool,
+    /// Capture spans and write a JSON snapshot of the run's per-call
+    /// records and counters next to the CSVs (`--trace`; needs the
+    /// `trace` cargo feature).
+    pub trace: bool,
 }
 
 impl Default for BenchArgs {
@@ -28,7 +29,7 @@ impl Default for BenchArgs {
             out: "results".to_string(),
             part: None,
             threads: None,
-            telemetry: false,
+            trace: false,
         }
     }
 }
@@ -70,9 +71,9 @@ impl BenchArgs {
                             .unwrap_or_else(|| panic!("--threads needs an integer")),
                     );
                 }
-                "--telemetry" => a.telemetry = true,
+                "--trace" => a.trace = true,
                 other => panic!(
-                    "unknown flag {other}; supported: --full --reps N --out DIR --part X --threads N --telemetry"
+                    "unknown flag {other}; supported: --full --reps N --out DIR --part X --threads N --trace"
                 ),
             }
         }
@@ -99,7 +100,7 @@ mod tests {
         assert_eq!(a.reps, 5);
         assert_eq!(a.out, "results");
         assert!(a.part.is_none());
-        assert!(!a.telemetry);
+        assert!(!a.trace);
     }
 
     #[test]
@@ -114,14 +115,14 @@ mod tests {
             "b",
             "--threads",
             "8",
-            "--telemetry",
+            "--trace",
         ]);
         assert!(a.full);
         assert_eq!(a.reps, 10);
         assert_eq!(a.out, "/tmp/x");
         assert_eq!(a.part.as_deref(), Some("b"));
         assert_eq!(a.threads, Some(8));
-        assert!(a.telemetry);
+        assert!(a.trace);
     }
 
     #[test]

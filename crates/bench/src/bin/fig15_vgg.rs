@@ -13,7 +13,7 @@ use shalom_workloads::{vgg_layers, GemmShape};
 
 fn main() {
     let args = BenchArgs::parse();
-    shalom_bench::telemetry::begin(&args);
+    shalom_bench::trace::begin(&args);
     let strategies = StrategyModel::parallel_roster();
     for machine in MachineModel::paper_platforms() {
         let mut r = Report::new(
@@ -89,5 +89,5 @@ fn main() {
     }
     r.note("N scaled by 1/8 unless --full; serial run (1-core container)");
     r.emit(&args.out);
-    shalom_bench::telemetry::finish(&args, "fig15_vgg");
+    shalom_bench::trace::finish(&args, "fig15_vgg");
 }

@@ -13,7 +13,7 @@ use shalom_workloads::small_square_sizes;
 
 fn main() {
     let args = BenchArgs::parse();
-    shalom_bench::telemetry::begin(&args);
+    shalom_bench::trace::begin(&args);
     let libs = small_gemm_contenders::<f32>();
     for (mode, op_b) in [("NN", Op::NoTrans), ("NT", Op::Trans)] {
         let mut r = Report::new(
@@ -43,5 +43,5 @@ fn main() {
         r.note("paper shape: LibShalom highest across the sweep, ~2x over BLASFEO at size 8, >=5% at 120; NN > NT for LibShalom on small sizes (no packing when B fits L1)");
         r.emit(&args.out);
     }
-    shalom_bench::telemetry::finish(&args, "fig7_small_warm");
+    shalom_bench::trace::finish(&args, "fig7_small_warm");
 }

@@ -16,10 +16,10 @@ use shalom_workloads::GemmShape;
 
 fn main() {
     let args = BenchArgs::parse();
-    shalom_bench::telemetry::begin(&args);
+    shalom_bench::trace::begin(&args);
     projection(&args);
     measured(&args);
-    shalom_bench::telemetry::finish(&args, "fig9_irregular_parallel");
+    shalom_bench::trace::finish(&args, "fig9_irregular_parallel");
 }
 
 /// The paper figure: model-projected GFLOPS on 64-core Phytium 2000+.

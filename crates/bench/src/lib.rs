@@ -12,9 +12,10 @@
 //! Every binary accepts `--reps N` (timing repetitions; paper uses 10),
 //! `--full` (paper-scale problem sizes; defaults are scaled for a 1-core
 //! container) and `--out DIR` (CSV output directory, default `results/`).
-//! Built with `--features telemetry`, `--telemetry` additionally records
-//! the dispatch decisions of every GEMM in the run and writes a
-//! `<figure>.telemetry.json` snapshot next to the CSVs.
+//! Built with `--features trace`, `--trace` additionally records the
+//! route of every GEMM in the run and writes a `<figure>.trace.json`
+//! snapshot (per-call records, counters, latency histograms) next to the
+//! CSVs.
 
 #![deny(missing_docs)]
 
@@ -22,8 +23,8 @@ pub mod args;
 pub mod perf_report;
 pub mod report;
 pub mod runner;
-pub mod telemetry;
 pub mod timer;
+pub mod trace;
 
 pub use args::BenchArgs;
 pub use report::Report;

@@ -125,9 +125,9 @@ pub fn autotune<T: GemmElem>(
         "degenerate GEMM has nothing to tune"
     );
     // Probe GEMMs are measurement noise, not workload: keep them out of
-    // the telemetry trace for the duration of the search.
-    #[cfg(feature = "telemetry")]
-    let _tel_pause = crate::telemetry::pause_guard();
+    // the trace for the duration of the search.
+    #[cfg(feature = "trace")]
+    let _trace_pause = crate::trace::pause_guard();
     let (ar, ac) = match op_a {
         Op::NoTrans => (m, k),
         Op::Trans => (k, m),

@@ -72,10 +72,6 @@ pub fn gemm_batch_beta<T: GemmElem>(
         reference::check_dims(op_a, op_b, it.c.rows(), it.c.cols(), k, &it.a, &it.b);
     }
     let t = cfg.resolved_threads().max(1).min(items.len().max(1));
-    #[cfg(feature = "telemetry")]
-    if crate::telemetry::enabled() && !items.is_empty() {
-        crate::telemetry::record_batch(items.len());
-    }
     // Trace: one span for the whole batch (aux = item count); each item
     // records its own BatchItem span inside `run_one` below.
     #[cfg(feature = "trace")]
@@ -138,12 +134,9 @@ pub fn gemm_batch_beta<T: GemmElem>(
         crate::trace::span_end(item_tok);
     };
     if t <= 1 || pool::in_pool_context() {
-        // Tag runs Batch even on the caller's thread; the scope restores
-        // the previous tag on exit. A nested batch (issued from inside a
-        // pool task) also lands here: republishing would deadlock on the
-        // pool's single call slot.
-        #[cfg(feature = "telemetry")]
-        let _path = crate::telemetry::PathScope::enter(crate::telemetry::PathTag::Batch);
+        // A nested batch (issued from inside a pool task) also lands
+        // here: republishing would deadlock on the pool's single call
+        // slot.
         with_workspace(|ws| {
             for it in items.iter_mut() {
                 run_one(&serial_cfg, it, ws);
@@ -165,8 +158,6 @@ pub fn gemm_batch_beta<T: GemmElem>(
                 // wrapper, not its raw-pointer field (disjoint capture).
                 #[allow(clippy::redundant_locals)]
                 let base = base;
-                #[cfg(feature = "telemetry")]
-                let _path = crate::telemetry::PathScope::enter(crate::telemetry::PathTag::Batch);
                 // SAFETY: SHALOM-D-POOL — the pool's shared counter hands
                 // each index in `0..n_items` to exactly one claimant, so
                 // this exclusive reborrow of item `idx` never aliases
@@ -179,19 +170,27 @@ pub fn gemm_batch_beta<T: GemmElem>(
         Runtime::ScopedSpawn => {
             let chunk = items.len().div_ceil(t);
             std::thread::scope(|scope| {
+                // The spawn loop is this runtime's dispatch; each thread's
+                // chunk is a task, as on the pool.
+                #[cfg(feature = "trace")]
+                let dispatch_tok =
+                    crate::trace::span_start(crate::trace::Phase::Dispatch, t as u64);
                 for slice in items.chunks_mut(chunk) {
                     let run_one = &run_one;
                     scope.spawn(move || {
-                        #[cfg(feature = "telemetry")]
-                        let _path =
-                            crate::telemetry::PathScope::enter(crate::telemetry::PathTag::Batch);
+                        #[cfg(feature = "trace")]
+                        let task_tok = crate::trace::span_start(crate::trace::Phase::Task, 0);
                         with_workspace(|ws| {
                             for it in slice.iter_mut() {
                                 run_one(&serial_cfg, it, ws);
                             }
                         });
+                        #[cfg(feature = "trace")]
+                        crate::trace::span_end(task_tok);
                     });
                 }
+                #[cfg(feature = "trace")]
+                crate::trace::span_end(dispatch_tok);
             });
         }
     }

@@ -46,7 +46,7 @@ pub enum EdgeSchedule {
 }
 
 impl EdgeSchedule {
-    /// Stable lowercase label (CLI values, reports, telemetry).
+    /// Stable lowercase label (CLI values, reports, trace records).
     pub fn as_str(self) -> &'static str {
         match self {
             EdgeSchedule::Pipelined => "pipelined",
@@ -76,7 +76,7 @@ pub enum PackingPolicy {
 }
 
 impl PackingPolicy {
-    /// Stable lowercase label (CLI values, reports, telemetry).
+    /// Stable lowercase label (CLI values, reports, trace records).
     pub fn as_str(self) -> &'static str {
         match self {
             PackingPolicy::Auto => "auto",
@@ -102,7 +102,7 @@ pub enum Runtime {
 }
 
 impl Runtime {
-    /// Stable lowercase label (CLI values, reports, telemetry).
+    /// Stable lowercase label (CLI values, reports, trace records).
     pub fn as_str(self) -> &'static str {
         match self {
             Runtime::Pool => "pool",
@@ -124,7 +124,7 @@ pub enum ShapeClass {
 }
 
 impl ShapeClass {
-    /// Stable lowercase label (CLI values, reports, telemetry).
+    /// Stable lowercase label (CLI values, reports, trace records).
     pub fn as_str(self) -> &'static str {
         match self {
             ShapeClass::Small => "small",

@@ -126,29 +126,25 @@ impl Workspace {
     }
 
     /// Current retained capacity of the scratch buffers in bytes (the
-    /// per-thread workspace high-water mark reported by telemetry).
-    #[cfg_attr(not(any(feature = "telemetry", test)), allow(dead_code))]
+    /// per-thread workspace a call's route record reports).
+    #[cfg_attr(not(any(feature = "trace", test)), allow(dead_code))]
     pub(crate) fn capacity_bytes(&self) -> usize {
         (self.bc.len() + self.at.len()) * core::mem::size_of::<u64>()
     }
 }
 
-/// Times a sequential-pack region into the thread's telemetry
-/// pack-span accumulator and — with the `trace` feature — records a
-/// span of the named phase (`PackA` / `PackB`). Expands to the bare
-/// expression without either feature; with them, costs one relaxed
-/// load per layer when capture is off.
+/// Records a sequential-pack region as a span of the named phase
+/// (`PackA` / `PackB`); the tracer also credits its time to the
+/// enclosing serial call's record. Expands to the bare expression
+/// without the `trace` feature; with it, costs one relaxed load when
+/// capture is off.
 macro_rules! pack_timed {
     ($phase:ident, $body:expr) => {{
-        #[cfg(feature = "telemetry")]
-        let __pack_t0 = crate::telemetry::pack_span_start();
         #[cfg(feature = "trace")]
         let __pack_tok = crate::trace::span_start(crate::trace::Phase::$phase, 0);
         let __r = $body;
         #[cfg(feature = "trace")]
         crate::trace::span_end(__pack_tok);
-        #[cfg(feature = "telemetry")]
-        crate::telemetry::pack_span_end(__pack_t0);
         __r
     }};
 }
@@ -218,13 +214,13 @@ pub(crate) fn resolve_nn_plan(
     }
 }
 
-#[cfg(feature = "telemetry")]
+#[cfg(feature = "trace")]
 impl BPlan {
-    /// Telemetry tag for the resolved plan. NT-mode `Direct` reports
-    /// `SequentialPack` because `nt_block` transpose-packs it anyway
-    /// (`Never` only disables the *fused* variant there).
-    pub(crate) fn tag(self, op_b: Op) -> crate::telemetry::PlanTag {
-        use crate::telemetry::PlanTag;
+    /// Record tag for the plan the 128-bit driver runs. NT-mode `Direct`
+    /// reports `SequentialPack` because `nt_block` transpose-packs it
+    /// anyway (`Never` only disables the *fused* variant there).
+    pub(crate) fn tag(self, op_b: Op) -> crate::trace::PlanTag {
+        use crate::trace::PlanTag;
         match self {
             BPlan::Direct if op_b == Op::Trans => PlanTag::SequentialPack,
             BPlan::Direct => PlanTag::NoPack,
@@ -240,24 +236,6 @@ pub(crate) fn resolve_nt_plan(cfg: &GemmConfig) -> BPlan {
     match cfg.packing {
         PackingPolicy::AlwaysSequential | PackingPolicy::Never => BPlan::Sequential,
         _ => BPlan::Fused,
-    }
-}
-
-/// What the §4 resolution says for the *full* problem shape — used by the
-/// parallel parent record (each worker re-resolves over its own
-/// sub-block and reports that in its own record).
-#[cfg(feature = "telemetry")]
-pub(crate) fn resolved_plan_tag(
-    cfg: &GemmConfig,
-    op_b: Op,
-    m: usize,
-    n: usize,
-    k: usize,
-    elem_bytes: usize,
-) -> crate::telemetry::PlanTag {
-    match op_b {
-        Op::NoTrans => resolve_nn_plan(cfg, m, n, k, elem_bytes).tag(op_b),
-        Op::Trans => resolve_nt_plan(cfg).tag(op_b),
     }
 }
 
@@ -295,7 +273,7 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
         return;
     }
     // Trace: one span covering the whole serial dispatch, tagged with
-    // the shape key; closed below with the resolved plan source.
+    // the shape key; closed below with the route that ran.
     #[cfg(feature = "trace")]
     let serial_tok = crate::trace::span_start(
         crate::trace::Phase::Serial,
@@ -305,23 +283,17 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
     // many identical calls (the batched path) pass it in; everyone else
     // consults the plan cache here — warm signatures skip the §4/§5.5
     // resolution entirely.
-    #[cfg(feature = "telemetry")]
-    let tel_on = crate::telemetry::enabled();
-    #[cfg(feature = "telemetry")]
-    let plan_t0 = if tel_on {
-        crate::telemetry::now_ns()
-    } else {
-        0
-    };
     let plan = match plan {
         Some(p) => *p,
         None => crate::plan::serial_plan::<V>(cfg, op_a, op_b, m, n, k),
     };
-    #[cfg(feature = "telemetry")]
-    let plan_ns = if tel_on {
-        crate::telemetry::now_ns().saturating_sub(plan_t0)
-    } else {
-        0
+    // Closes the serial span with the route `plan` resolves to (the
+    // outlined `#[cold]` half keeps the capture-off path one branch).
+    #[cfg(feature = "trace")]
+    let close_span = |ws: &Workspace| {
+        if !serial_tok.is_inert() {
+            close_serial_span::<V>(serial_tok, cfg, op_a, op_b, m, n, k, &plan, ws);
+        }
     };
 
     // Wide-family route: the plan's effective ISA (a pure function of
@@ -336,12 +308,6 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
             let mc_eff = plan.bs.mc.min(m.div_ceil(ks.mr) * ks.mr);
             let (bc_elems, at_elems) = family_workspace::<V::Elem>(fam, op_a, kc_eff, mc_eff);
             let (bc_ptr, at_ptr) = ws.ensure::<V::Elem>(bc_elems, at_elems);
-            #[cfg(feature = "telemetry")]
-            let tel_start = if tel_on {
-                crate::telemetry::serial_capture_begin()
-            } else {
-                0
-            };
             // SAFETY: SHALOM-D-DRIVER — a/b/c cover the stored operands
             // and m x n at their strides per this function's contract;
             // bc/at were sized by `family_workspace` for (fam, op_a,
@@ -369,28 +335,8 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
                 at_ptr,
                 &family_span,
             );
-            #[cfg(feature = "telemetry")]
-            if tel_start != 0 {
-                crate::telemetry::serial_capture_end(
-                    tel_start,
-                    cfg,
-                    op_a,
-                    op_b,
-                    m,
-                    n,
-                    k,
-                    core::mem::size_of::<V::Elem>(),
-                    plan.b_plan.tag(op_b),
-                    crate::telemetry::edge_tag_of(plan.edge),
-                    crate::telemetry::plan_source_tag(plan.source),
-                    plan_ns,
-                    ks.mr as u8,
-                    ks.nr as u8,
-                    ws.capacity_bytes(),
-                );
-            }
             #[cfg(feature = "trace")]
-            crate::trace::span_end_src(serial_tok, crate::trace::src_code(plan.source));
+            close_span(ws);
             return;
         }
     }
@@ -409,16 +355,6 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
     let (bc_ptr, at_ptr) = ws.ensure::<V::Elem>(2 * kc_eff * nr, at_elems);
 
     let b_plan = plan.b_plan;
-
-    // Telemetry: 0 marks capture-off, making the whole dispatch cost one
-    // relaxed load + compare; both capture halves are outlined `#[cold]`
-    // calls so they add no code to this function's hot body.
-    #[cfg(feature = "telemetry")]
-    let tel_start = if tel_on {
-        crate::telemetry::serial_capture_begin()
-    } else {
-        0
-    };
 
     // ALLOC-FREE: begin — after `ensure` above, the whole block walk runs
     // out of reused workspace; a stray allocation here is a per-call cost
@@ -497,28 +433,39 @@ pub(crate) unsafe fn gemm_serial<V: Vector>(
     }
     // ALLOC-FREE: end
 
-    #[cfg(feature = "telemetry")]
-    if tel_start != 0 {
-        crate::telemetry::serial_capture_end(
-            tel_start,
-            cfg,
-            op_a,
-            op_b,
-            m,
-            n,
-            k,
-            core::mem::size_of::<V::Elem>(),
-            b_plan.tag(op_b),
-            crate::telemetry::edge_tag_of(plan.edge),
-            crate::telemetry::plan_source_tag(plan.source),
-            plan_ns,
-            MR as u8,
-            nr as u8,
-            ws.capacity_bytes(),
-        );
-    }
     #[cfg(feature = "trace")]
-    crate::trace::span_end_src(serial_tok, crate::trace::src_code(plan.source));
+    close_span(ws);
+}
+
+/// Closes a serial dispatch's span with the route it ran (the
+/// capture-on half of `gemm_serial`'s epilogue).
+#[cfg(feature = "trace")]
+#[cold]
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn close_serial_span<V: Vector>(
+    tok: crate::trace::SpanToken,
+    cfg: &GemmConfig,
+    op_a: Op,
+    op_b: Op,
+    m: usize,
+    n: usize,
+    k: usize,
+    plan: &crate::plan::SerialPlan,
+    ws: &Workspace,
+) {
+    let route = crate::trace::route_of::<V>(
+        cfg,
+        op_a,
+        op_b,
+        m,
+        n,
+        k,
+        plan,
+        (1, 1, 1),
+        ws.capacity_bytes(),
+    );
+    crate::trace::span_end_route(tok, crate::trace::src_code(plan.source), route);
 }
 
 /// The wide route's span hook: times and traces the family driver's

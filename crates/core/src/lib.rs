@@ -37,19 +37,16 @@
 //!
 //! # Observability
 //!
-//! With the off-by-default `telemetry` cargo feature, the `telemetry`
-//! module exposes per-call dispatch decision traces (shape class,
-//! packing plan, tile, thread grid), sharded counters, latency
-//! histograms and JSON snapshots; the `perf-hooks` feature adds Linux
-//! hardware counters. Without the feature, every capture site compiles
-//! to nothing.
-//!
-//! The off-by-default `trace` feature adds the `trace` module:
-//! span-level timelines of the same pipeline (plan lookup, pack-A/B,
-//! per-block compute, pool dispatch/queue/barrier/park, batch items)
-//! recorded into per-thread lock-free buffers, with per-phase
-//! breakdowns and Chrome-trace/Perfetto export. The two features are
-//! independent and compose.
+//! The off-by-default `trace` cargo feature adds the `trace` module,
+//! the one observability layer: span timelines of the pipeline (plan
+//! lookup, pack-A/B, per-block compute, pool dispatch/queue/barrier/park,
+//! batch items) recorded into per-thread lock-free buffers. Each GEMM's
+//! root span carries the route it ran (ISA, tile, packing plan, edge
+//! handling, thread grid, plan source, workspace), counters and latency
+//! histograms are folded as spans close, and one snapshot yields the
+//! per-call records, the aggregates, the Fig 13 breakdown and a
+//! Chrome-trace/Perfetto export. `perf-hooks` adds Linux hardware
+//! counters. Without the feature, every span site compiles to nothing.
 
 #![deny(missing_docs)]
 #![allow(clippy::too_many_arguments)]
@@ -68,8 +65,6 @@ mod parallel;
 pub mod plan;
 pub mod pool;
 pub mod sync;
-#[cfg(feature = "telemetry")]
-pub mod telemetry;
 #[cfg(feature = "trace")]
 pub mod trace;
 

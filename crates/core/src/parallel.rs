@@ -157,33 +157,19 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
     // threads = t). Workers resolve their own sub-block plans below
     // under threads = 1 keys — identical to the pre-cache behaviour.
     // Trace: one span covering the whole threaded call (grid lookup,
-    // dispatch, tiles, join), closed with the grid's plan source.
+    // dispatch, tiles, join), closed with the route its workers ran.
     #[cfg(feature = "trace")]
     let parallel_tok = crate::trace::span_start(
         crate::trace::Phase::Parallel,
         crate::trace::shape_key(m, n, k),
     );
     let (tm, tn, plan_src) = crate::plan::parallel_grid::<V>(cfg, op_a, op_b, m, n, k, t);
-    #[cfg(not(any(feature = "telemetry", feature = "trace")))]
+    #[cfg(not(feature = "trace"))]
     let _ = plan_src;
     let nr = NR_VECS * V::LANES;
     let ap = SendConstPtr(a);
     let bp = SendConstPtr(b);
     let cp = SendPtr(c);
-
-    // Telemetry: time the fork-join scope and the slowest task so the
-    // parent record can report fork-join overhead; the pool separately
-    // records its dispatch (publish + wake) latency. 0 marks capture-off.
-    #[cfg(feature = "telemetry")]
-    let tel_start = if crate::telemetry::enabled() {
-        crate::telemetry::now_ns().max(1)
-    } else {
-        0
-    };
-    #[cfg(feature = "telemetry")]
-    let slowest_worker_ns = std::sync::atomic::AtomicU64::new(0);
-    #[cfg(feature = "telemetry")]
-    let slowest = &slowest_worker_ns;
 
     // One `(ri, rl) x (ci, cl)` sub-block on the given workspace; shared
     // by both runtimes. Workers get the ISA the *whole* problem resolved
@@ -198,14 +184,6 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
         // would otherwise capture the raw-pointer *fields*, which are
         // not Sync, and the closure could not cross the runtime.
         let (ap, bp, cp) = (ap, bp, cp);
-        #[cfg(feature = "telemetry")]
-        let _path = crate::telemetry::PathScope::enter(crate::telemetry::PathTag::ParallelWorker);
-        #[cfg(feature = "telemetry")]
-        let worker_t0 = if tel_start != 0 {
-            crate::telemetry::now_ns()
-        } else {
-            0
-        };
         // Reconstruct the sub-block operand pointers. Stored-A row
         // offset depends on op: N indexes rows by i, T by k.
         let a_off = match op_a {
@@ -240,13 +218,6 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
                 None,
             )
         };
-        #[cfg(feature = "telemetry")]
-        if tel_start != 0 {
-            slowest.fetch_max(
-                crate::telemetry::now_ns().saturating_sub(worker_t0),
-                std::sync::atomic::Ordering::Relaxed,
-            );
-        }
     };
 
     match cfg.resolved_runtime() {
@@ -268,60 +239,66 @@ pub(crate) unsafe fn gemm_parallel<V: Vector>(
             let cols = quantized_chunks(n, tn, nr);
             let tile = &tile;
             std::thread::scope(|scope| {
+                // The spawn loop is this runtime's dispatch; each thread's
+                // tile is a task, as on the pool.
+                #[cfg(feature = "trace")]
+                let dispatch_tok =
+                    crate::trace::span_start(crate::trace::Phase::Dispatch, (tm * tn) as u64);
                 for &(ri, rl) in &rows {
                     for &(ci, cl) in &cols {
                         if rl == 0 || cl == 0 {
                             continue;
                         }
-                        scope.spawn(move || with_workspace(|ws| tile(ri, rl, ci, cl, ws)));
+                        scope.spawn(move || {
+                            #[cfg(feature = "trace")]
+                            let task_tok = crate::trace::span_start(crate::trace::Phase::Task, 0);
+                            with_workspace(|ws| tile(ri, rl, ci, cl, ws));
+                            #[cfg(feature = "trace")]
+                            crate::trace::span_end(task_tok);
+                        });
                     }
                 }
-                // The spawn loop itself is this runtime's dispatch cost.
-                #[cfg(feature = "telemetry")]
-                if tel_start != 0 {
-                    crate::telemetry::record_dispatch(
-                        crate::telemetry::now_ns().saturating_sub(tel_start),
-                    );
-                }
+                #[cfg(feature = "trace")]
+                crate::trace::span_end(dispatch_tok);
             });
         }
     }
 
     #[cfg(feature = "trace")]
-    crate::trace::span_end_src(parallel_tok, crate::trace::src_code(plan_src));
-
-    #[cfg(feature = "telemetry")]
-    if tel_start != 0 {
-        let total_ns = crate::telemetry::now_ns().saturating_sub(tel_start);
-        let elem_bytes = core::mem::size_of::<V::Elem>();
-        let slowest_ns = slowest_worker_ns.load(std::sync::atomic::Ordering::Relaxed);
-        crate::telemetry::record_fork_join(total_ns.saturating_sub(slowest_ns));
-        crate::telemetry::record(crate::telemetry::DecisionRecord {
-            seq: 0, // assigned at submission
-            m,
-            n,
-            k,
-            op_a: crate::telemetry::op_char(op_a),
-            op_b: crate::telemetry::op_char(op_b),
-            elem_bits: (elem_bytes * 8) as u8,
-            class: crate::telemetry::class_tag(crate::config::classify(
-                m, n, k, elem_bytes, &cfg.cache,
-            )),
-            plan: crate::driver::resolved_plan_tag(cfg, op_b, m, n, k, elem_bytes),
-            edge: crate::telemetry::edge_tag_of(cfg.edge),
-            plan_source: crate::telemetry::plan_source_tag(plan_src),
-            plan_ns: 0, // grid lookup cost is folded into total_ns
-            path: crate::telemetry::PathTag::Parallel,
-            mr: MR as u8,
-            nr: nr as u8,
-            tm: tm as u16,
-            tn: tn as u16,
-            threads: t as u16,
-            workspace_bytes: 0, // per-worker; reported by worker records
-            pack_ns: 0,
-            total_ns,
-        });
+    if !parallel_tok.is_inert() {
+        close_parallel_span::<V>(
+            parallel_tok,
+            &cfg_copy,
+            op_a,
+            op_b,
+            (m, n, k),
+            (tm, tn, t),
+            plan_src,
+        );
     }
+}
+
+/// Closes a parallel call's span with the route its workers ran: tile
+/// `(0, 0)`'s plan, resolved through the same cache entry that worker
+/// used.
+#[cfg(feature = "trace")]
+#[cold]
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn close_parallel_span<V: Vector>(
+    tok: crate::trace::SpanToken,
+    worker_cfg: &GemmConfig,
+    op_a: Op,
+    op_b: Op,
+    (m, n, k): (usize, usize, usize),
+    (tm, tn, t): (usize, usize, usize),
+    plan_src: crate::plan::PlanSource,
+) {
+    let (_, rl) = quantized_chunk(m, tm, MR, 0);
+    let (_, cl) = quantized_chunk(n, tn, NR_VECS * V::LANES, 0);
+    let plan = crate::plan::serial_plan_untraced::<V>(worker_cfg, op_a, op_b, rl, cl, k);
+    let route = crate::trace::route_of::<V>(worker_cfg, op_a, op_b, m, n, k, &plan, (tm, tn, t), 0);
+    crate::trace::span_end_route(tok, crate::trace::src_code(plan_src), route);
 }
 
 #[cfg(test)]

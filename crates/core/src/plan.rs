@@ -57,7 +57,7 @@ pub enum PlanSource {
 }
 
 impl PlanSource {
-    /// Stable lowercase label (reports, telemetry).
+    /// Stable lowercase label (reports, trace records).
     pub fn as_str(self) -> &'static str {
         match self {
             PlanSource::Computed => "computed",
@@ -79,7 +79,7 @@ pub(crate) struct SerialPlan {
     /// driver to the runtime-registered kernel family, anything else runs
     /// the 128-bit substrate.
     pub(crate) isa: Isa,
-    #[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+    #[cfg_attr(not(feature = "trace"), allow(dead_code))]
     pub(crate) source: PlanSource,
 }
 
@@ -354,27 +354,12 @@ fn compute_resolved<V: Vector>(
     }
 }
 
-#[allow(unused_variables)]
-fn note_lookup(hit: bool) {
-    #[cfg(feature = "telemetry")]
-    if crate::telemetry::enabled() {
-        crate::telemetry::record_plan_lookup(hit);
-    }
-}
-
-#[allow(unused_variables)]
-fn note_evictions(n: u64) {
-    #[cfg(feature = "telemetry")]
-    if n > 0 && crate::telemetry::enabled() {
-        crate::telemetry::record_plan_evictions(n);
-    }
-}
-
 /// The cache-consulting lookup every entry point funnels through:
 /// returns the encoded plan and where it came from, memoizing computed
 /// plans. With the cache disabled this is a plain recompute. Being the
 /// single funnel, this is also where the trace layer times plan
-/// resolution — hit and miss alike — and stamps the outcome.
+/// resolution — hit and miss alike — and stamps the outcome (`NONE`
+/// when the cache was bypassed) and the entries the insert evicted.
 fn lookup<V: Vector>(
     cfg: &GemmConfig,
     op_a: Op,
@@ -390,12 +375,20 @@ fn lookup<V: Vector>(
             crate::trace::Phase::PlanLookup,
             crate::trace::shape_key(m, n, k),
         );
-        let res = lookup_impl::<V>(cfg, op_a, op_b, m, n, k, threads);
-        crate::trace::span_end_src(tok, crate::trace::src_code(res.1));
-        res
+        let (plan, source, evicted) = lookup_impl::<V>(cfg, op_a, op_b, m, n, k, threads);
+        let outcome = if plan_cache_enabled() {
+            crate::trace::src_code(source)
+        } else {
+            crate::trace::src::NONE
+        };
+        crate::trace::span_end_src(tok, outcome, evicted);
+        (plan, source)
     }
     #[cfg(not(feature = "trace"))]
-    lookup_impl::<V>(cfg, op_a, op_b, m, n, k, threads)
+    {
+        let (plan, source, _) = lookup_impl::<V>(cfg, op_a, op_b, m, n, k, threads);
+        (plan, source)
+    }
 }
 
 fn lookup_impl<V: Vector>(
@@ -406,27 +399,26 @@ fn lookup_impl<V: Vector>(
     n: usize,
     k: usize,
     threads: usize,
-) -> (ResolvedPlan, PlanSource) {
+) -> (ResolvedPlan, PlanSource, u64) {
     if !plan_cache_enabled() {
         return (
             compute_resolved::<V>(cfg, op_a, op_b, m, n, k, threads),
             PlanSource::Computed,
+            0,
         );
     }
     let key = key_for::<V>(cfg, op_a, op_b, m, n, k, threads);
     let cache = global_cache();
     if let Some((plan, stored)) = cache.get(&key) {
-        note_lookup(true);
         let source = match stored {
             Source::Profile => PlanSource::Profile,
             Source::Computed => PlanSource::Cached,
         };
-        return (plan, source);
+        return (plan, source, 0);
     }
-    note_lookup(false);
     let plan = compute_resolved::<V>(cfg, op_a, op_b, m, n, k, threads);
-    note_evictions(cache.insert_computed(key, plan));
-    (plan, PlanSource::Computed)
+    let evicted = cache.insert_computed(key, plan);
+    (plan, PlanSource::Computed, evicted)
 }
 
 fn decode(plan: &ResolvedPlan, source: PlanSource, isa: Isa) -> SerialPlan {
@@ -459,6 +451,21 @@ pub(crate) fn serial_plan<V: Vector>(
     k: usize,
 ) -> SerialPlan {
     let (plan, source) = lookup::<V>(cfg, op_a, op_b, m, n, k, 1);
+    decode(&plan, source, effective_isa::<V>(cfg, m, n))
+}
+
+/// [`serial_plan`] without a `PlanLookup` span: the parallel parent's
+/// look at the plan its first worker already resolved, for its record.
+#[cfg(feature = "trace")]
+pub(crate) fn serial_plan_untraced<V: Vector>(
+    cfg: &GemmConfig,
+    op_a: Op,
+    op_b: Op,
+    m: usize,
+    n: usize,
+    k: usize,
+) -> SerialPlan {
+    let (plan, source, _) = lookup_impl::<V>(cfg, op_a, op_b, m, n, k, 1);
     decode(&plan, source, effective_isa::<V>(cfg, m, n))
 }
 
@@ -528,14 +535,14 @@ pub fn install_tuned<T: crate::GemmElem>(
     };
     let plan = compute_resolved::<T::Vec>(&eff, op_a, op_b, m, n, k, threads);
     let key = key_for::<T::Vec>(base, op_a, op_b, m, n, k, threads);
-    note_evictions(global_cache().install(key, plan));
+    global_cache().install(key, plan);
     // Serial calls inside the pooled/batched paths look the signature up
     // under a threads = 1 key; install the override there too so a
     // tuned single-threaded signature applies wherever it executes.
     if threads > 1 {
         let serial_plan = compute_resolved::<T::Vec>(&eff, op_a, op_b, m, n, k, 1);
         let serial_key = key_for::<T::Vec>(base, op_a, op_b, m, n, k, 1);
-        note_evictions(global_cache().install(serial_key, serial_plan));
+        global_cache().install(serial_key, serial_plan);
     }
     PlanDescription {
         source: PlanSource::Profile,
@@ -554,7 +561,7 @@ pub fn load_profile(path: impl AsRef<Path>) -> Result<usize, ProfileError> {
     let cache = global_cache();
     let n = entries.len();
     for (key, plan) in entries {
-        note_evictions(cache.install(key, plan));
+        cache.install(key, plan);
     }
     Ok(n)
 }
@@ -583,7 +590,7 @@ pub fn plan_cache_invalidate() {
 }
 
 /// Aggregate plan-cache statistics (always on, independent of the
-/// `telemetry` feature): hits, misses, evictions, installs, residency.
+/// `trace` feature): hits, misses, evictions, installs, residency.
 pub fn plan_cache_stats() -> CacheStats {
     global_cache().stats()
 }

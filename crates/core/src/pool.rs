@@ -243,9 +243,7 @@ fn drain(p: &Pool, job: &(dyn Fn(usize, &mut Workspace) + Sync), tasks: usize, w
 /// Runs `job(0..tasks)` across `threads` participants: this thread plus
 /// `threads - 1` persistent workers, all pulling indices from one shared
 /// counter. Blocks until every task has run *and* every worker has
-/// detached from the job. Returns the dispatch latency in nanoseconds
-/// (publish + wake, before this thread starts computing) when telemetry
-/// is capturing, else 0.
+/// detached from the job.
 ///
 /// Falls back to running everything inline when `threads <= 1`, when
 /// there is at most one task, or when already inside a pool call.
@@ -253,25 +251,15 @@ fn drain(p: &Pool, job: &(dyn Fn(usize, &mut Workspace) + Sync), tasks: usize, w
 /// # Panics
 /// Propagates a panic from the job (on this thread via `resume_unwind`;
 /// worker panics surface as a new panic after the call completes).
-pub(crate) fn run(
-    threads: usize,
-    tasks: usize,
-    job: &(dyn Fn(usize, &mut Workspace) + Sync),
-) -> u64 {
+pub(crate) fn run(threads: usize, tasks: usize, job: &(dyn Fn(usize, &mut Workspace) + Sync)) {
     if threads <= 1 || tasks <= 1 || in_pool_context() {
         with_workspace(|ws| {
             for i in 0..tasks {
                 job(i, ws);
             }
         });
-        return 0;
+        return;
     }
-    #[cfg(feature = "telemetry")]
-    let tel_start = if crate::telemetry::enabled() {
-        crate::telemetry::now_ns().max(1)
-    } else {
-        0
-    };
     // Trace: the dispatch span covers slot claim + publish + wake (any
     // queue wait shows up nested inside it); aux carries the task count.
     #[cfg(feature = "trace")]
@@ -346,17 +334,6 @@ pub(crate) fn run(
     #[cfg(feature = "trace")]
     crate::trace::span_end(dispatch_tok);
 
-    #[cfg(feature = "telemetry")]
-    let dispatch_ns = if tel_start != 0 {
-        let ns = crate::telemetry::now_ns().saturating_sub(tel_start);
-        crate::telemetry::record_dispatch(ns);
-        ns
-    } else {
-        0
-    };
-    #[cfg(not(feature = "telemetry"))]
-    let dispatch_ns = 0u64;
-
     // Participate in the drain on this thread's workspace. Panics are
     // deferred: workers borrow the caller's stack through the job, so we
     // must wait for them even while unwinding.
@@ -396,7 +373,6 @@ pub(crate) fn run(
         // honest outcome (mirrors std::thread::scope semantics).
         panic!("a pool worker panicked while running a GEMM task");
     }
-    dispatch_ns
 }
 
 /// Spins the pool up to `threads` participants and pre-sizes every

@@ -82,8 +82,8 @@ fn warm_parallel_path_allocates_nothing() {
         );
     };
 
-    // Warmup: populate thread-locals (caller workspace, telemetry shard
-    // striping if compiled in) and let the first decay window elapse so
+    // Warmup: populate thread-locals (caller workspace, trace lane if
+    // compiled in) and let the first decay window elapse so
     // the measured region sees the pool in its long-run regime.
     for _ in 0..80 {
         call(&mut c);

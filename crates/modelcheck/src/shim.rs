@@ -9,7 +9,7 @@
 //! task claim").
 //!
 //! The counters themselves use plain std atomics with Relaxed
-//! ordering: they are counter-class telemetry, never synchronization.
+//! ordering: they are counter-class statistics, never synchronization.
 
 use std::sync::atomic as sys;
 pub use std::sync::atomic::Ordering;

@@ -8,8 +8,8 @@
 //! never a panic, so a stale or hand-edited profile can degrade a
 //! process to "no overrides" but can't take it down.
 
-use crate::json::{parse, Json};
 use crate::{PlanKey, ResolvedPlan};
+use shalom_trace::json::{parse, JsonValue as Json};
 use std::fmt;
 use std::path::Path;
 
@@ -256,6 +256,33 @@ mod tests {
         ];
         let text = to_json(&entries, "avx512");
         assert_eq!(from_json(&text, "avx512").unwrap(), entries);
+    }
+
+    #[test]
+    fn full_width_fingerprint_loads_exactly() {
+        let entries = vec![(
+            PlanKey {
+                config_fp: u64::MAX,
+                ..key(0)
+            },
+            plan(0),
+        )];
+        let text = to_json(&entries, "sse2");
+        assert!(
+            text.contains("\"config_fp\":18446744073709551615"),
+            "{text}"
+        );
+        let loaded = from_json(&text, "sse2").unwrap();
+        assert_eq!(loaded[0].0.config_fp, u64::MAX);
+        // One past u64::MAX, a fraction or a sign is refused, never
+        // rounded or saturated into a valid-looking fingerprint.
+        for bad in ["18446744073709551616", "1.5", "-1", "1e400"] {
+            let doctored = text.replace("18446744073709551615", bad);
+            assert!(
+                matches!(from_json(&doctored, "sse2"), Err(ProfileError::Parse(_))),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

@@ -75,7 +75,9 @@ mod stats;
 
 pub use error::ServiceError;
 pub use request::{GemmRequest, ServiceElem};
-pub use stats::{FlushReason, ServiceStatsSnapshot};
+pub use stats::{
+    svc_occ_bucket, FlushReason, ServiceStatsSnapshot, SVC_OCC_BUCKETS, SVC_OCC_LABELS,
+};
 
 use completion::{CompletionCell, ScopeState, DONE_EXPIRED, PENDING};
 use queue::{Admission, Policy, Shared};
@@ -327,7 +329,7 @@ impl Completion<'_> {
         }
     }
 
-    /// Completion timestamp on the [`shalom_telemetry::now_ns`] clock,
+    /// Completion timestamp on the [`shalom_trace::now_ns`] clock,
     /// once done. The latency harness subtracts scheduled arrival times
     /// from this, so queueing delay is measured without coordinated
     /// omission.

@@ -38,7 +38,7 @@ pub(crate) struct QueuedItem {
     pub(crate) b: ViewDims,
     pub(crate) c_ptr: *mut (),
     pub(crate) c: ViewDims,
-    /// Admission timestamp (`shalom_telemetry::now_ns` clock).
+    /// Admission timestamp (`shalom_trace::now_ns` clock).
     pub(crate) enqueue_ns: u64,
     /// Deadline on the same clock; `u64::MAX` = none, `0` = already
     /// expired at submission (deterministic expiry for past instants).
@@ -300,16 +300,10 @@ fn enqueue_validated<T: ServiceElem>(
         shared.work.notify_one();
     }
     shared.stats.on_submit(depth);
-    if shalom_telemetry::enabled() {
-        shalom_telemetry::record_service_submit(depth);
-    }
     Ok(())
 }
 
 #[cold]
 fn reject(shared: &Shared) {
     shared.stats.on_reject();
-    if shalom_telemetry::enabled() {
-        shalom_telemetry::record_service_reject();
-    }
 }

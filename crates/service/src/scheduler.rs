@@ -170,9 +170,6 @@ fn flush_chunk(shared: &Shared, bucket: &Bucket, chunk: &[QueuedItem], reason: F
     // Counters first, completions second: a waiter woken by its cell
     // must already see this flush in `stats()`.
     shared.stats.on_flush(reason, completed, expired);
-    if shalom_telemetry::enabled() {
-        shalom_telemetry::record_service_flush(completed, expired);
-    }
     let done = now_ns();
     for it in chunk {
         if it.deadline_ns < t0 {

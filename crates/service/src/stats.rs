@@ -1,9 +1,26 @@
-//! Always-on service counters (independent of the telemetry runtime
-//! switch, which additionally feeds the global telemetry shards when
-//! enabled — see the call sites in `queue.rs` / `scheduler.rs`).
+//! Always-on service counters: the one place the service counts its
+//! submissions, rejections and flushes (its span sites only time them).
 
-use shalom_telemetry::{svc_occ_bucket, SVC_OCC_BUCKETS};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Number of batch-occupancy histogram buckets (powers of two:
+/// 1, 2–3, 4–7, ..., 128+).
+pub const SVC_OCC_BUCKETS: usize = 8;
+
+/// Stable labels for the occupancy buckets, used in JSON reports.
+pub const SVC_OCC_LABELS: [&str; SVC_OCC_BUCKETS] = [
+    "1", "2-3", "4-7", "8-15", "16-31", "32-63", "64-127", "128+",
+];
+
+/// Histogram bucket index for a flush of `occupancy` completed items.
+#[inline]
+pub fn svc_occ_bucket(occupancy: usize) -> usize {
+    if occupancy <= 1 {
+        0
+    } else {
+        (usize::BITS - 1 - occupancy.leading_zeros()).min(SVC_OCC_BUCKETS as u32 - 1) as usize
+    }
+}
 
 /// Why the scheduler flushed a bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +155,7 @@ pub struct ServiceStatsSnapshot {
     /// Flushes triggered by shutdown drain.
     pub flush_drain: u64,
     /// log2 histogram of flush occupancy, bucketed like
-    /// [`shalom_telemetry::SVC_OCC_LABELS`].
+    /// [`SVC_OCC_LABELS`].
     pub occupancy: [u64; SVC_OCC_BUCKETS],
 }
 
@@ -178,5 +195,20 @@ mod tests {
         assert_eq!(snap.flush_deadline, 1);
         assert_eq!(snap.occupancy[svc_occ_bucket(2)], 1);
         assert!((snap.mean_occupancy() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn occupancy_buckets_are_log2() {
+        assert_eq!(svc_occ_bucket(0), 0);
+        assert_eq!(svc_occ_bucket(1), 0);
+        assert_eq!(svc_occ_bucket(2), 1);
+        assert_eq!(svc_occ_bucket(3), 1);
+        assert_eq!(svc_occ_bucket(4), 2);
+        assert_eq!(svc_occ_bucket(7), 2);
+        assert_eq!(svc_occ_bucket(64), 6);
+        assert_eq!(svc_occ_bucket(127), 6);
+        assert_eq!(svc_occ_bucket(128), 7);
+        assert_eq!(svc_occ_bucket(1 << 20), 7);
+        assert_eq!(SVC_OCC_LABELS[svc_occ_bucket(200)], "128+");
     }
 }

@@ -12,8 +12,8 @@ use crate::{src, TraceSnapshot};
 /// Lanes become threads of one process (`pid` 1); events within a lane
 /// are sorted by start time, so per-thread timestamps are monotone.
 /// `args` carries the decoded aux payload (shape for shape-tagged
-/// phases, item/task counts), the plan source when present, and the
-/// nesting depth.
+/// phases, item/task counts), the plan source when present, the route
+/// of a root GEMM span, and the nesting depth.
 pub fn chrome_trace_json(snap: &TraceSnapshot) -> String {
     let mut events = Vec::new();
     events.push(
@@ -48,6 +48,10 @@ pub fn chrome_trace_json(snap: &TraceSnapshot) -> String {
             }
             if s.src != src::NONE {
                 args.push_str(&format!(",\"plan_source\":\"{}\"", src::as_str(s.src)));
+            }
+            if s.route.is_set() {
+                args.push(',');
+                args.push_str(&s.route.json_members());
             }
             events.push(format!(
                 "{{\"name\":\"{}\",\"cat\":\"shalom\",\"ph\":\"X\",\"ts\":{},\
@@ -85,7 +89,7 @@ mod tests {
             aux,
             phase: phase as u8,
             src,
-            depth: 0,
+            ..SpanRecord::default()
         }
     }
 
@@ -97,13 +101,21 @@ mod tests {
                     spans: vec![
                         // Close order: child (compute) before parent (serial).
                         span(Phase::Compute, 1500, 2000, 0, 0),
-                        span(
-                            Phase::Serial,
-                            1000,
-                            2500,
-                            crate::shape_key(64, 64, 64),
-                            crate::src::CACHED,
-                        ),
+                        SpanRecord {
+                            route: crate::Route {
+                                isa: Some(shalom_simd::Isa::Avx2W256),
+                                mr: 7,
+                                nr: 8,
+                                ..crate::Route::default()
+                            },
+                            ..span(
+                                Phase::Serial,
+                                1000,
+                                2500,
+                                crate::shape_key(64, 64, 64),
+                                crate::src::CACHED,
+                            )
+                        },
                     ],
                     dropped: 0,
                 },
@@ -113,7 +125,7 @@ mod tests {
                     dropped: 0,
                 },
             ],
-            dropped_unassigned: 0,
+            ..TraceSnapshot::default()
         }
     }
 
@@ -154,6 +166,9 @@ mod tests {
         assert!(text.contains("\"name\":\"lane-3\""), "{text}");
         assert!(text.contains("\"plan_source\":\"cached\""), "{text}");
         assert!(text.contains("\"m\":64,\"n\":64,\"k\":64"), "{text}");
+        // The root span carries its route.
+        assert!(text.contains("\"isa\":\"avx2\""), "{text}");
+        assert!(text.contains("\"mr\":7,\"nr\":8"), "{text}");
         // Task aux is an index, not a shape.
         assert!(text.contains("\"aux\":5"), "{text}");
         // 1500 ns -> 1.500 us.

@@ -1,11 +1,13 @@
-//! Minimal JSON reader for the observability pipeline.
+//! The workspace's one JSON reader.
 //!
-//! The build container is offline (no serde), so the exporters in this
-//! workspace hand-roll JSON *writing*; this module is the matching
-//! *reader* used by tests and the perf-report round-trip validation.
-//! It parses the full JSON grammar into an owned tree. Numbers are
-//! `f64` (every value this pipeline emits fits exactly); object keys
-//! keep insertion order.
+//! The workspace carries no serialization dependency, so its exporters
+//! hand-roll JSON *writing*; this module is the matching *reader*, used
+//! by the plan-profile loader, the perf-report round-trip validation and
+//! tests. It parses the full JSON grammar into an owned tree. Unsigned
+//! integer literals that fit a `u64` are kept exactly ([`JsonValue::Int`],
+//! so full-width profile fingerprints round-trip); every other number is
+//! an `f64`. Object keys keep insertion order, and nesting is bounded so
+//! a hostile document cannot overflow the stack.
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,7 +16,9 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number, as `f64`.
+    /// An unsigned integer literal that fits a `u64`, kept exactly.
+    Int(u64),
+    /// Any other number, as `f64`.
     Num(f64),
     /// String with escapes decoded.
     Str(String),
@@ -36,15 +40,18 @@ impl JsonValue {
     /// Number as `f64`, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Int(v) => Some(*v as f64),
             JsonValue::Num(v) => Some(*v),
             _ => None,
         }
     }
 
-    /// Number as `u64` if it is a non-negative integer.
+    /// Number as `u64` if it is a non-negative integer in range: exact
+    /// for integer literals, and for an `f64` only below `2^64`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
+            JsonValue::Int(v) => Some(*v),
+            JsonValue::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < u64::MAX as f64 => {
                 Some(*v as u64)
             }
             _ => None,
@@ -76,12 +83,15 @@ impl JsonValue {
     }
 }
 
+/// Maximum nesting depth of arrays and objects.
+const MAX_DEPTH: usize = 32;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 /// Errors name the byte offset they were detected at.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -99,12 +109,18 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
+    if depth > MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", JsonValue::Bool(false)),
@@ -151,6 +167,9 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         }
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+    if let Ok(v) = text.parse::<u64>() {
+        return Ok(JsonValue::Int(v));
+    }
     text.parse::<f64>()
         .map(JsonValue::Num)
         .map_err(|_| format!("bad number `{text}` at byte {start}"))
@@ -159,60 +178,47 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
     *pos += 1;
-    let mut out = String::new();
+    // The input is a `&str`, so copying its bytes verbatim and appending
+    // decoded escapes as UTF-8 keeps `out` valid UTF-8.
+    let mut out = Vec::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
+        let Some(&b) = bytes.get(*pos) else {
+            return Err("unterminated string".to_string());
+        };
+        *pos += 1;
+        let c = match b {
+            b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
+            b'\\' => match bytes.get(*pos) {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b't') => '\t',
+                Some(b'r') => '\r',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => {
+                    let hex = bytes
+                        .get(*pos + 1..*pos + 5)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| format!("bad \\u escape at byte {pos}", pos = *pos))?;
+                    *pos += 4;
+                    char::from_u32(hex).unwrap_or('\u{fffd}')
                 }
-                *pos += 1;
+                _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
+            },
+            _ => {
+                out.push(b);
+                continue;
             }
-            Some(_) => {
-                // Copy one whole UTF-8 scalar (may be multi-byte).
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest)
-                    .or_else(|e| {
-                        std::str::from_utf8(&rest[..e.valid_up_to()]).map_err(|e2| e2.to_string())
-                    })
-                    .map_err(|e| e.to_string())?;
-                match s.chars().next() {
-                    Some(c) => {
-                        out.push(c);
-                        *pos += c.len_utf8();
-                    }
-                    None => return Err("invalid UTF-8 in string".to_string()),
-                }
-            }
-        }
+        };
+        *pos += 1;
+        out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -221,7 +227,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
         return Ok(JsonValue::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -234,7 +240,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     *pos += 1; // consume '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -253,7 +259,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -287,11 +293,9 @@ pub fn escape(text: &str) -> String {
 /// Formats an `f64` so it round-trips exactly through [`parse`] and is
 /// valid JSON (no `NaN`/`inf`; those become `0`).
 pub fn format_f64(v: f64) -> String {
+    // Rust prints integral floats without a dot; both forms are JSON.
     if v.is_finite() {
-        let s = format!("{v}");
-        // Rust prints integral floats without a dot; both forms are
-        // valid JSON, keep as-is.
-        s
+        format!("{v}")
     } else {
         "0".to_string()
     }
@@ -358,5 +362,69 @@ mod tests {
         let members = doc.as_obj().unwrap();
         assert_eq!(members[0].0, "z");
         assert_eq!(members[1].0, "a");
+    }
+
+    #[test]
+    fn parses_profile_shaped_document() {
+        let v = parse(r#"{"version":1,"entries":[{"op":"N","fp":18446744073709551615}]}"#).unwrap();
+        assert_eq!(v.get("version").and_then(JsonValue::as_u64), Some(1));
+        let entries = v.get("entries").and_then(JsonValue::as_arr).unwrap();
+        assert_eq!(entries[0].get("op").and_then(JsonValue::as_str), Some("N"));
+        // Full-width u64 survives (an f64 would round it to 2^64).
+        assert_eq!(entries[0].get("fp"), Some(&JsonValue::Int(u64::MAX)));
+        assert_eq!(
+            entries[0].get("fp").and_then(JsonValue::as_u64),
+            Some(u64::MAX)
+        );
+    }
+
+    #[test]
+    fn whitespace_and_escapes() {
+        let v = parse(" { \"a\" : [ 1 , 2 ] , \"s\" : \"x\\\"y\\\\z\" } ").unwrap();
+        assert_eq!(
+            v.get("a")
+                .and_then(JsonValue::as_arr)
+                .map(<[JsonValue]>::len),
+            Some(2)
+        );
+        assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("x\"y\\z"));
+    }
+
+    #[test]
+    fn rejects_garbage() {
+        for bad in [
+            "[1,",
+            "{\"a\":}",
+            "{\"a\":1}extra",
+            "{\"a\" 1}",
+            "\"unterminated",
+            "{\"e\":\"\\q\"}",
+            "tru",
+            "-",
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn depth_bounded() {
+        let deep = "[".repeat(64) + &"]".repeat(64);
+        assert!(parse(&deep).is_err());
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn out_of_range_extraction_is_none() {
+        for text in [
+            "340282366920938463463374607431768211455",
+            "18446744073709551616",
+            "-1",
+            "1.5",
+        ] {
+            let v = parse(text).unwrap();
+            assert_eq!(v.as_u64(), None, "{text}");
+        }
+        assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
     }
 }

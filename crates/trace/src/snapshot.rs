@@ -1,8 +1,10 @@
-//! Owned copies of the lane buffers and the aggregate report derived
-//! from them: per-phase self/total times, per-lane utilization, the
-//! imbalance ratio, and wait statistics — the Fig 13 breakdown and §6
-//! imbalance analysis reproduced from a live trace.
+//! Owned copies of the lane buffers and folds, and the views derived
+//! from them: per-call decision records, the aggregate counters and
+//! histograms, and the report of per-phase self/total times, per-lane
+//! utilization, the imbalance ratio and wait statistics — the Fig 13
+//! breakdown and §6 imbalance analysis reproduced from a live trace.
 
+use crate::{CounterTotals, DecisionRecord, Histogram, PerfSample, ShapeClassTag};
 use crate::{Phase, SpanRecord};
 
 /// One lane (one thread) copied out of the tracer.
@@ -17,13 +19,24 @@ pub struct LaneSnapshot {
     pub dropped: u64,
 }
 
-/// Point-in-time copy of every non-empty lane.
-#[derive(Debug, Clone)]
+/// Point-in-time copy of every non-empty lane and the summed folds.
+///
+/// "Point in time" while writers run means consistent enough: lanes and
+/// folds are read without stopping writers, so a snapshot taken mid-GEMM
+/// may be one span ahead or behind in one view. Snapshots taken between
+/// measurement phases (the intended use) are exact.
+#[derive(Debug, Clone, Default)]
 pub struct TraceSnapshot {
     /// Non-empty lanes, ascending lane index.
     pub lanes: Vec<LaneSnapshot>,
     /// Spans dropped by threads that never got a lane.
     pub dropped_unassigned: u64,
+    /// Counters folded as spans closed, summed over lanes.
+    pub totals: CounterTotals,
+    /// Call latency histograms indexed by [`ShapeClassTag::index`].
+    pub histograms: [Histogram; 3],
+    /// Process-wide hardware counters since `perf::start`, if captured.
+    pub perf: Option<PerfSample>,
 }
 
 /// Aggregate for one phase across the whole snapshot.
@@ -165,6 +178,114 @@ impl TraceSnapshot {
     pub fn render_report(&self) -> String {
         self.report().render()
     }
+
+    /// The per-call view: one record per routed span (every serial
+    /// dispatch and parallel parent the lanes hold), ordered by close
+    /// time. A record's `plan_ns` is the time of its own `PlanLookup`
+    /// children.
+    pub fn decisions(&self) -> Vec<DecisionRecord> {
+        let mut out = Vec::new();
+        for lane in &self.lanes {
+            // Lookup time closed at each depth since that depth's parent
+            // opened; buffer order is close order, so a span's children
+            // are all in when it closes.
+            let mut lookup_ns = vec![0u64; 258];
+            for s in &lane.spans {
+                let d = s.depth as usize;
+                let children = std::mem::take(&mut lookup_ns[d + 1]);
+                if s.route.is_set() {
+                    out.push((s.t1_ns, DecisionRecord::from_span(s, children)));
+                }
+                if s.phase() == Phase::PlanLookup {
+                    lookup_ns[d] += s.duration_ns();
+                }
+            }
+        }
+        out.sort_by_key(|&(t1, _)| t1);
+        out.into_iter()
+            .enumerate()
+            .map(|(i, (_, r))| DecisionRecord { seq: i as u64, ..r })
+            .collect()
+    }
+
+    /// Decision records, counters, histograms and hardware counters as
+    /// one JSON document:
+    /// `{"totals":{...},"histograms":{"small":{...},...},"perf":{...}|null,
+    ///   "dropped_spans":N,"decisions":[...]}`.
+    pub fn to_json(&self) -> String {
+        let hists = ShapeClassTag::ALL
+            .iter()
+            .zip(&self.histograms)
+            .map(|(c, h)| format!("\"{}\":{}", c.as_str(), h.to_json()))
+            .collect::<Vec<_>>()
+            .join(",");
+        let decisions = self
+            .decisions()
+            .iter()
+            .map(DecisionRecord::to_json)
+            .collect::<Vec<_>>()
+            .join(",");
+        format!(
+            "{{\"totals\":{},\"histograms\":{{{}}},\"perf\":{},\"dropped_spans\":{},\"decisions\":[{}]}}",
+            self.totals.to_json(),
+            hists,
+            self.perf.map_or("null".to_string(), |p| p.to_json()),
+            self.total_dropped(),
+            decisions,
+        )
+    }
+
+    /// Short human-readable digest of the counters for console output.
+    pub fn summary(&self) -> String {
+        let t = &self.totals;
+        let mut lines = vec![
+            format!(
+                "trace: {} calls ({} small / {} irregular / {} regular), \
+                 {} fork-joins, {} batch calls ({} items)",
+                t.calls,
+                t.by_class[0],
+                t.by_class[1],
+                t.by_class[2],
+                t.fork_joins,
+                t.batch_calls,
+                t.batch_items,
+            ),
+            format!(
+                "  plans: {} no-pack / {} fused / {} lookahead / {} sequential; \
+                 pack {} ns of {} ns total; workspace peak {} B",
+                t.by_plan[0],
+                t.by_plan[1],
+                t.by_plan[2],
+                t.by_plan[3],
+                t.pack_ns,
+                t.total_ns,
+                t.workspace_peak_bytes,
+            ),
+            format!(
+                "  plan cache: {} hits / {} misses / {} evictions; {} spans recorded / {} dropped",
+                t.plan_hits, t.plan_misses, t.plan_evictions, t.spans_recorded, t.spans_dropped,
+            ),
+        ];
+        for (c, h) in ShapeClassTag::ALL.iter().zip(&self.histograms) {
+            if let Some(p50) = h.quantile_ns(0.5) {
+                lines.push(format!(
+                    "  {}: {} calls, p50 ~{} ns, p99 ~{} ns",
+                    c.as_str(),
+                    h.count(),
+                    p50,
+                    h.quantile_ns(0.99).unwrap_or(p50),
+                ));
+            }
+        }
+        if let Some(p) = &self.perf {
+            lines.push(format!(
+                "  perf: ipc {:.2}, cache-miss ratio {:.4}",
+                p.ipc(),
+                p.miss_ratio()
+            ));
+        }
+        lines.join("\n")
+    }
 }
 
 impl TraceReport {
@@ -303,10 +424,9 @@ mod tests {
         SpanRecord {
             t0_ns: t0,
             t1_ns: t1,
-            aux: 0,
             phase: phase as u8,
-            src: 0,
             depth,
+            ..SpanRecord::default()
         }
     }
 
@@ -326,7 +446,7 @@ mod tests {
                 spans,
                 dropped: 0,
             }],
-            dropped_unassigned: 0,
+            ..TraceSnapshot::default()
         };
         let rep = snap.report();
         assert_eq!(rep.phases[Phase::Serial.index()].self_ns, 100 - 20 - 50);
@@ -357,6 +477,7 @@ mod tests {
                 },
             ],
             dropped_unassigned: 1,
+            ..TraceSnapshot::default()
         };
         let rep = snap.report();
         assert_eq!(rep.wall_ns, 90);
@@ -376,7 +497,7 @@ mod tests {
     fn empty_snapshot_reports_zeroes() {
         let snap = TraceSnapshot {
             lanes: vec![],
-            dropped_unassigned: 0,
+            ..TraceSnapshot::default()
         };
         let rep = snap.report();
         assert_eq!(rep.wall_ns, 0);
@@ -401,11 +522,86 @@ mod tests {
                 spans,
                 dropped: 0,
             }],
-            dropped_unassigned: 0,
+            ..TraceSnapshot::default()
         };
         let rep = snap.report();
         assert_eq!(rep.phases[Phase::Serial.index()].self_ns, 0);
         assert_eq!(rep.phases[Phase::PackB.index()].self_ns, 10);
         assert_eq!(rep.phases[Phase::Compute.index()].self_ns, 20);
+    }
+
+    /// One lane: a routed serial call (with a plan lookup and a pack)
+    /// on an irregular shape, then a routed call with no lookup.
+    fn routed_snapshot() -> TraceSnapshot {
+        let route = crate::Route {
+            isa: Some(shalom_simd::Isa::Sse128),
+            class: crate::ShapeClassTag::Irregular,
+            plan: crate::PlanTag::Lookahead,
+            ..crate::Route::default()
+        };
+        let serial = |t0, t1, extra| SpanRecord {
+            aux: crate::shape_key(64, 2048, 64),
+            extra,
+            route,
+            ..span(Phase::Serial, t0, t1, 0)
+        };
+        let mut totals = CounterTotals {
+            calls: 2,
+            ..CounterTotals::default()
+        };
+        totals.by_class[crate::ShapeClassTag::Irregular.index()] = 2;
+        let mut hist = Histogram::default();
+        hist.buckets[10] = 2;
+        TraceSnapshot {
+            lanes: vec![LaneSnapshot {
+                lane: 0,
+                spans: vec![
+                    span(Phase::PlanLookup, 0, 30, 1),
+                    span(Phase::PackB, 30, 40, 1),
+                    serial(0, 1000, 10),
+                    serial(2000, 3000, 0),
+                ],
+                dropped: 0,
+            }],
+            totals,
+            histograms: [Histogram::default(), hist, Histogram::default()],
+            ..TraceSnapshot::default()
+        }
+    }
+
+    #[test]
+    fn json_document_shape() {
+        let snap = routed_snapshot();
+        let recs = snap.decisions();
+        assert_eq!(recs.len(), 2);
+        assert_eq!((recs[0].plan_ns, recs[0].pack_ns), (30, 10));
+        assert_eq!((recs[1].seq, recs[1].plan_ns), (1, 0));
+        let j = snap.to_json();
+        for needle in [
+            "\"totals\":{",
+            "\"histograms\":{\"small\":{}",
+            "\"irregular\":{\"1024\":2}",
+            "\"perf\":null",
+            "\"decisions\":[{",
+            "\"plan\":\"fused-lookahead\"",
+            "\"n\":2048",
+        ] {
+            assert!(j.contains(needle), "{j} missing {needle}");
+        }
+        assert!(crate::json::parse(&j).is_ok(), "{j}");
+    }
+
+    #[test]
+    fn class_filter_and_summary() {
+        let s = routed_snapshot();
+        let irregular = s
+            .decisions()
+            .iter()
+            .filter(|r| r.route.class == crate::ShapeClassTag::Irregular)
+            .count();
+        assert_eq!(irregular, 2);
+        let text = s.summary();
+        assert!(text.contains("2 calls"), "{text}");
+        assert!(text.contains("irregular: 2 calls"), "{text}");
     }
 }

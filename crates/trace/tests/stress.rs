@@ -73,12 +73,12 @@ fn concurrent_writers_stay_well_nested() {
                     let outer =
                         trace::span_start(trace::Phase::Serial, trace::shape_key(w + 1, r + 1, 8));
                     let lookup = trace::span_start(trace::Phase::PlanLookup, 0);
-                    trace::span_end_src(lookup, trace::src::CACHED);
+                    trace::span_end_src(lookup, trace::src::CACHED, 0);
                     let pack = trace::span_start(trace::Phase::PackB, 0);
                     let compute = trace::span_start(trace::Phase::Compute, 0);
                     trace::span_end(compute);
                     trace::span_end(pack);
-                    trace::span_end_src(outer, trace::src::COMPUTED);
+                    trace::span_end_src(outer, trace::src::COMPUTED, 0);
                     std::hint::spin_loop();
                 }
             });

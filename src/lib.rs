@@ -54,12 +54,8 @@ pub use shalom_core::{
 };
 pub use shalom_matrix::{MatMut, MatRef, Matrix};
 
-/// Telemetry layer (decision traces, counters, histograms, snapshots);
-/// present only with the `telemetry` cargo feature.
-#[cfg(feature = "telemetry")]
-pub use shalom_core::telemetry;
-
-/// Span-level tracing layer (per-worker timelines, phase breakdowns,
-/// Chrome-trace export); present only with the `trace` cargo feature.
+/// Observability layer (per-call route records, folded counters and
+/// histograms, per-worker timelines, phase breakdowns, Chrome-trace
+/// export); present only with the `trace` cargo feature.
 #[cfg(feature = "trace")]
 pub use shalom_core::trace;
